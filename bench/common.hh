@@ -378,8 +378,7 @@ class TelemetrySession
                           << count("par.tile_rows") << "x"
                           << count("par.tile_cols") << ", "
                           << count("par.lookahead_widened")
-                          << " widened epochs, "
-                          << count("par.steal_count") << " steals\n";
+                          << " widened epochs\n";
             }
         }
     }

@@ -2,8 +2,9 @@
  * @file
  * Minimal command-line option parsing for bench/example binaries.
  *
- * Supports `--key=value` and `--flag` forms plus `--help`. Unknown
- * options are fatal so that typos in sweep scripts fail loudly.
+ * Supports `--key=value`, `--key value` and `--flag` forms plus
+ * `--help`. Unknown options and malformed numbers are fatal so that
+ * typos in sweep scripts fail loudly.
  */
 
 #ifndef GS_SIM_ARGS_HH

@@ -26,55 +26,21 @@ nowNs()
 } // namespace
 
 TileShape
-chooseTileShape(int width, int height, int threads)
-{
-    gs_assert(width >= 1 && height >= 1, "degenerate torus");
-    const int nodes = width * height;
-    const int target = std::min(std::max(threads, 1), nodes);
-
-    // Among tilings with at least `target` tiles prefer: fewest
-    // tiles, then fewest torus links cut by tile boundaries, then
-    // squarest, then wider-than-tall (rows <= cols keeps the
-    // decomposition aligned with the wider torus axis). Cutting
-    // along a full row of tiles severs `width` links per seam and
-    // the torus wraps, so R > 1 rows cut width*R links (R == 1 cuts
-    // none — the wrap seam is interior to the single tile).
-    TileShape best;
-    long bestKey[4] = {0, 0, 0, 0};
-    bool have = false;
-    for (int r = 1; r <= height; ++r) {
-        for (int c = 1; c <= width; ++c) {
-            const int n = r * c;
-            if (n < target)
-                continue;
-            const long cut = (r > 1 ? long(width) * r : 0) +
-                             (c > 1 ? long(height) * c : 0);
-            long key[4] = {n, cut, std::labs(long(r) - c), -c};
-            if (!have || std::lexicographical_compare(
-                             key, key + 4, bestKey, bestKey + 4)) {
-                best = {r, c};
-                std::copy(key, key + 4, bestKey);
-                have = true;
-            }
-        }
-    }
-    return best;
-}
-
-TileShape
-chooseTileShape3(int width, int height, int depth, int threads)
+chooseTileShape(int width, int height, int depth, int threads)
 {
     gs_assert(width >= 1 && height >= 1 && depth >= 1,
               "degenerate torus");
     const int nodes = width * height * depth;
     const int target = std::min(std::max(threads, 1), nodes);
 
-    // Same selection as chooseTileShape with the seam-cut and
-    // squareness terms generalised per dimension. The imbalance term
-    // |r-c| + |c-s| + |r-s| orders factorisations of a fixed tile
-    // count identically to |r-c| when s == 1 (both are monotone in
-    // the spread of a fixed product), so depth == 1 reproduces the
-    // 2-D chooser's picks exactly.
+    // Among tilings with at least `target` tiles prefer: fewest
+    // tiles, then fewest torus links cut by tile seams, then most
+    // cubical, then more columns, then more slabs. The torus wraps,
+    // so k > 1 bands along an axis cut k seams and a single band
+    // cuts none (its wrap seam is interior to the tile). At depth 1
+    // the imbalance term |r-c| + |c-s| + |r-s| is 2*max(r, c) - 2,
+    // which orders the factorisations of a fixed tile count exactly
+    // as the squareness |r-c| does.
     TileShape best;
     long bestKey[5] = {0, 0, 0, 0, 0};
     bool have = false;
@@ -127,9 +93,7 @@ ParallelEngine::ParallelEngine(Config cfg)
         ctxs.back()->queue().prewarm(perBucket);
     }
     per.resize(static_cast<std::size_t>(nThreads));
-    dom_.reserve(static_cast<std::size_t>(nDomains));
-    for (int d = 0; d < nDomains; ++d)
-        dom_.push_back(std::make_unique<PerDomain>());
+    dom_.resize(static_cast<std::size_t>(nDomains));
 }
 
 ParallelEngine::~ParallelEngine() = default;
@@ -139,8 +103,7 @@ ParallelEngine::ownedRange(int t) const
 {
     // Contiguous blocks: worker t starts at [t*D/T, (t+1)*D/T).
     // Adjacent tiles land on the same worker, which keeps a worker's
-    // epoch body walking neighbouring state; stealing relaxes the
-    // assignment only when the block is imbalanced.
+    // epoch body walking neighbouring state.
     int lo = t * nDomains / nThreads;
     int hi = (t + 1) * nDomains / nThreads;
     return {lo, hi};
@@ -169,15 +132,6 @@ ParallelEngine::barrierWaitFrac() const
                  : 0.0;
 }
 
-std::uint64_t
-ParallelEngine::steals() const
-{
-    std::uint64_t n = 0;
-    for (const auto &p : per)
-        n += p.steals;
-    return n;
-}
-
 double
 ParallelEngine::tileWaitFrac(int d) const
 {
@@ -191,7 +145,7 @@ ParallelEngine::tileWaitFrac(int d) const
     if (wall <= 0.0)
         return 0.0;
     const double mine =
-        static_cast<double>(dom_[std::size_t(d)]->activeNs);
+        static_cast<double>(dom_[std::size_t(d)].activeNs);
     const double frac = 1.0 - mine / wall;
     return frac < 0.0 ? 0.0 : (frac > 1.0 ? 1.0 : frac);
 }
@@ -221,7 +175,7 @@ ParallelEngine::computeNextWindow()
     // state is coherent here.
     Tick globalMin = maxTick;
     for (const auto &pd : dom_)
-        globalMin = std::min(globalMin, pd->localMin);
+        globalMin = std::min(globalMin, pd.localMin);
 
     epochs_ += 1;
 
@@ -299,7 +253,7 @@ ParallelEngine::processDomain(int d, Tick ws, Tick we)
     Tick lm = q.peekNext();
     if (pendingMin)
         lm = std::min(lm, pendingMin(d));
-    PerDomain &pd = *dom_[std::size_t(d)];
+    PerDomain &pd = dom_[std::size_t(d)];
     pd.localMin = lm;
     pd.activeNs += nowNs() - a0;
 }
@@ -312,33 +266,8 @@ ParallelEngine::workerLoop(int t)
     for (;;) {
         std::uint64_t t0 = nowNs();
         const Tick ws = windowStart, we = windowEnd;
-        // One claim stamp per epoch: the first exchange() wins the
-        // tile for this epoch, everyone else sees its own stamp and
-        // moves on. The winning worker's writes are ordered before
-        // the next epoch's readers by the barrier.
-        const std::uint64_t stamp = epoch + 1;
-        for (int d = lo; d < hi; ++d) {
-            if (dom_[std::size_t(d)]->claimed.exchange(
-                    stamp, std::memory_order_acq_rel) != stamp)
-                processDomain(d, ws, we);
-        }
-        if (nThreads > 1) {
-            // Steal scan: sweep the other workers' tiles (wrapping
-            // from our block's end) and drain any not yet claimed
-            // this epoch. Placement moves; the event order does not.
-            for (int i = 0, n = nDomains; i < n; ++i) {
-                int d = hi + i;
-                if (d >= nDomains)
-                    d -= nDomains;
-                if (d >= lo && d < hi)
-                    continue;
-                if (dom_[std::size_t(d)]->claimed.exchange(
-                        stamp, std::memory_order_acq_rel) != stamp) {
-                    processDomain(d, ws, we);
-                    per[std::size_t(t)].steals += 1;
-                }
-            }
-        }
+        for (int d = lo; d < hi; ++d)
+            processDomain(d, ws, we);
         per[std::size_t(t)].activeNs += nowNs() - t0;
         if (epochHook)
             epochHook(t, epoch);

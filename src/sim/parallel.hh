@@ -3,7 +3,7 @@
  * Conservative parallel discrete-event engine.
  *
  * A machine's components are partitioned into spatial domains — on
- * the torus, rectangular R x C *tiles* chosen by chooseTileShape()
+ * the torus, R x C x S box *tiles* chosen by chooseTileShape()
  * from the worker-thread count (or pinned via --tile-shape) — each
  * with its own SimContext (event queue), and all domains advance in
  * barrier-synchronized epochs. An epoch's window length equals the
@@ -19,11 +19,7 @@
  * canonical (when, src-domain, src-seq) order via
  * EventQueue::scheduleMergedAt.
  *
- * Workers claim domains through a per-epoch atomic stamp, home block
- * first and then stealing unclaimed tiles from other workers, so one
- * hot tile does not leave the rest of the pool spinning at the
- * barrier. Stealing moves only *which thread* drains a tile, never
- * what fires when.
+ * Each worker drains a fixed contiguous block of domains every epoch.
  *
  * Determinism contract: epoch boundaries are a pure function of
  * simulation state (each next window starts at the globally earliest
@@ -51,10 +47,9 @@ namespace gs
 {
 
 /**
- * A box tiling of a torus into rows x cols (x slabs) domains. The
- * 2-D machines tile W x H into rows x cols; 3-D machines add slabs
- * along Z. slabs defaults to 1 so 2-D call sites (and `{r, c}`
- * aggregate initialisers) are unchanged.
+ * A box tiling of a torus into rows x cols x slabs domains. A 2-D
+ * torus is the depth-1 case: slabs stays 1, so `{r, c}` aggregate
+ * initialisers describe its tilings.
  */
 struct TileShape
 {
@@ -70,53 +65,31 @@ struct TileShape
 };
 
 /**
- * Pick the R x C tiling of a @p width x @p height torus for
- * @p threads workers. Deterministic, and a pure function of its
- * arguments: the decomposition (and therefore every simulated
- * result) depends on the *shape*, so runs that must be compared at
- * different thread counts pin an explicit shape instead.
+ * Pick the R x C x S box tiling of a @p width x @p height x @p depth
+ * torus for @p threads workers (a 2-D torus passes depth 1).
+ * Deterministic, and a pure function of its arguments: the
+ * decomposition (and therefore every simulated result) depends on
+ * the *shape*, so runs that must be compared at different thread
+ * counts pin an explicit shape instead.
  *
- * Preference order among tilings with rows*cols >= min(threads, W*H):
- * fewest tiles, then fewest torus links cut, then squarest, then
- * wider-than-tall — so 8 threads on an 8x8 torus get 2x4 tiles
- * (48 cut links) rather than the old 8 columns (64).
- */
-TileShape chooseTileShape(int width, int height, int threads);
-
-/**
- * 3-D generalisation of chooseTileShape(): pick the R x C x S box
- * tiling of a @p width x @p height x @p depth torus for @p threads
- * workers. Same preference order — fewest tiles, fewest torus links
+ * Preference order among tilings with at least
+ * min(threads, W*H*D) tiles: fewest tiles, then fewest torus links
  * cut by tile seams (a seam between Z slabs cuts width*height links,
- * between Y bands width*depth, between X bands height*depth), most
- * cubical, then wider-than-tall/deep. At depth == 1 it picks exactly
- * chooseTileShape(width, height, threads) with slabs == 1 (unit
- * tested), so the 2-D decompositions are a strict special case.
+ * between Y bands width*depth, between X bands height*depth), then
+ * most cubical, then wider-than-tall/deep — so 8 threads on an 8x8
+ * torus get 2x4 tiles (48 cut links) rather than 8 columns (64).
  */
-TileShape
-chooseTileShape3(int width, int height, int depth, int threads);
+TileShape chooseTileShape(int width, int height, int depth, int threads);
 
 /**
- * Domain index of torus node (@p x, @p y) under @p shape tiles on a
- * @p width x @p height torus: tiles are contiguous blocks of whole
- * rows/columns (balanced split), numbered row-major.
+ * Domain index of torus node (@p x, @p y, @p z) under @p shape tiles
+ * on a @p width x @p height x @p depth torus: tiles are contiguous
+ * blocks of whole rows/columns/planes (balanced split), numbered
+ * slab-major over Z, then row-major within the slab.
  */
 inline int
-tileDomainOf(int x, int y, int width, int height, TileShape shape)
-{
-    int tr = y * shape.rows / height;
-    int tc = x * shape.cols / width;
-    return tr * shape.cols + tc;
-}
-
-/**
- * 3-D counterpart of tileDomainOf(): slabs-major over Z, then
- * row-major within the slab, so depth == 1 (slabs == 1) reduces to
- * the 2-D mapping unchanged.
- */
-inline int
-tileDomainOf3(int x, int y, int z, int width, int height, int depth,
-              TileShape shape)
+tileDomainOf(int x, int y, int z, int width, int height, int depth,
+             TileShape shape)
 {
     int ts = z * shape.slabs / depth;
     return (ts * shape.rows + y * shape.rows / height) * shape.cols +
@@ -175,7 +148,7 @@ class ParallelEngine
 
     /**
      * Merge hook: called for every domain at the start of every
-     * epoch by the worker that claimed the domain, after the barrier —
+     * epoch by the worker that owns the domain, after the barrier —
      * every mailbox written during the previous epoch is quiescent.
      * The client schedules the buffered cross-domain work into
      * domainCtx(domain) with scheduleMergedAt, in canonical order.
@@ -199,7 +172,7 @@ class ParallelEngine
     using StopFn = std::function<bool()>;
 
     /**
-     * Publish hook: called for every domain by its claiming worker
+     * Publish hook: called for every domain by its owning worker
      * after the domain drains each window, before the barrier. The
      * client snapshots per-domain state (double-buffered on its
      * side) that every domain's next merge may read — the Network
@@ -282,14 +255,11 @@ class ParallelEngine
      */
     double barrierWaitFrac() const;
 
-    /** Tiles drained by a worker outside its home block. */
-    std::uint64_t steals() const;
-
     /**
      * Fraction of the average worker's wall-time during which tile
      * @p d was NOT being drained — per-tile barrier/idle share. A
      * hot tile shows a low value; its peers' high values are the
-     * wait the work-stealing loop converts into steals.
+     * time their workers spent waiting for it.
      */
     double tileWaitFrac(int d) const;
     /// @}
@@ -299,20 +269,15 @@ class ParallelEngine
     {
         std::uint64_t waitNs = 0;   ///< wall time parked at barriers
         std::uint64_t activeNs = 0; ///< wall time in the epoch body
-        std::uint64_t steals = 0;   ///< non-home tiles drained
     };
 
     /**
-     * Per-domain epoch state. `claimed` carries the stamp of the
-     * last epoch in which some worker drained this domain; a worker
-     * owns the domain for epoch stamp s iff its exchange(s) returns
-     * an older stamp. The non-atomic fields are written only by that
-     * owner and read either by the next epoch's owner or by the
-     * barrier's window computation — both ordered by the barrier.
+     * Per-domain epoch state, written only by the owning worker and
+     * read by the barrier's window computation — ordered by the
+     * barrier.
      */
     struct alignas(64) PerDomain
     {
-        std::atomic<std::uint64_t> claimed{0};
         Tick localMin = maxTick; ///< earliest pending after drain
         std::uint64_t activeNs = 0;
     };
@@ -355,7 +320,7 @@ class ParallelEngine
     bool done = false;
 
     std::vector<PerThread> per;
-    std::vector<std::unique_ptr<PerDomain>> dom_;
+    std::vector<PerDomain> dom_;
     std::uint64_t epochs_ = 0;
 };
 

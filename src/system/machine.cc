@@ -134,8 +134,8 @@ Machine::buildGS1280(int cpus, Gs1280Options opt)
     np.routerKind = opt.routerKind;
     m->buildFabric(np);
 
-    // Parallel decomposition: the torus is cut into R x C
-    // rectangular tiles, one domain per tile. The shape comes from
+    // Parallel decomposition: the torus is cut into R x C x S box
+    // tiles, one domain per tile. The shape comes from
     // --tile-shape when given, otherwise chooseTileShape derives it
     // from the thread count — so the *shape* fixes the event
     // schedule and every statistic, and opt.threads only picks how
@@ -157,10 +157,8 @@ Machine::buildGS1280(int cpus, Gs1280Options opt)
                          " torus (need rows <= ", h, ", cols <= ", w,
                          " and slabs <= ", d, ")");
             tiles = {opt.tileRows, opt.tileCols, slabs};
-        } else if (d > 1) {
-            tiles = chooseTileShape3(w, h, d, opt.threads);
         } else {
-            tiles = chooseTileShape(w, h, opt.threads);
+            tiles = chooseTileShape(w, h, d, opt.threads);
         }
     }
     if (opt.threads > 1 && tiles.count() > 1) {
@@ -174,22 +172,12 @@ Machine::buildGS1280(int cpus, Gs1280Options opt)
         pcfg.seed = opt.seed;
         m->par_ = std::make_unique<ParallelEngine>(pcfg);
 
+        // Both tori number nodes x-fastest, then y, then z.
         std::vector<int> dom(static_cast<std::size_t>(cpus));
-        if (d > 1) {
-            const auto *t3 =
-                static_cast<const topo::Torus3D *>(m->topo_.get());
-            for (NodeId n = 0; n < cpus; ++n)
-                dom[std::size_t(n)] =
-                    tileDomainOf3(t3->xOf(n), t3->yOf(n), t3->zOf(n),
-                                  w, h, d, tiles);
-        } else {
-            const auto *torus =
-                static_cast<const topo::Torus2D *>(m->topo_.get());
-            for (NodeId n = 0; n < cpus; ++n)
-                dom[std::size_t(n)] = tileDomainOf(torus->xOf(n),
-                                                   torus->yOf(n), w,
-                                                   h, tiles);
-        }
+        for (int n = 0; n < cpus; ++n)
+            dom[std::size_t(n)] = tileDomainOf(n % w, n / w % h,
+                                               n / (w * h), w, h, d,
+                                               tiles);
         std::vector<SimContext *> dctx;
         dctx.reserve(static_cast<std::size_t>(tiles.count()));
         for (int d = 0; d < tiles.count(); ++d)
@@ -531,9 +519,6 @@ Machine::registerTelemetry()
         });
         telemetry_.addWallClockGauge("par.barrier_wait_frac", [pe] {
             return pe->barrierWaitFrac();
-        });
-        telemetry_.addWallClockGauge("par.steal_count", [pe] {
-            return static_cast<double>(pe->steals());
         });
         for (int d = 0; d < pe->domains(); ++d) {
             telemetry_.addWallClockGauge(

@@ -81,10 +81,11 @@ struct Gs1280Options
     int threads = 1;
     /**
      * Tile decomposition. 0 = choose from `threads` via
-     * gs::chooseTileShape (the default decomposition therefore
-     * follows the thread count). Runs that must be byte-comparable
-     * or snapshot-compatible across *different* thread counts pin an
-     * explicit RxC here (--tile-shape in the benches); the shape is
+     * gs::chooseTileShape, 2-D and 3-D machines alike (the default
+     * decomposition therefore follows the thread count). Runs that
+     * must be byte-comparable or snapshot-compatible across
+     * *different* thread counts pin an explicit RxC (RxCxS on a 3-D
+     * torus) here (--tile-shape in the benches); the shape is
      * recorded in snapshots and checked at restore.
      */
     int tileRows = 0;

@@ -90,9 +90,8 @@ runGs1280(int cpus, int threads, std::uint64_t seed,
             Rng::deriveSeed(seed, static_cast<std::uint64_t>(c));
         if (load == Load::HotSpot) {
             // Every CPU hammers node 0's memory: all the simulated
-            // work concentrates in the tile owning node 0, which is
-            // exactly the imbalance the work-stealing loop exists
-            // for.
+            // work concentrates in the tile owning node 0 while the
+            // other tiles idle.
             gens.push_back(std::make_unique<wl::HotSpotReads>(
                 NodeId(0), 8ULL << 20, reads, s));
         } else {
@@ -246,13 +245,12 @@ TEST(ParallelAB, RandomizedStressMatrix)
     EXPECT_GE(combos, 40);
 }
 
-TEST(ParallelAB, WorkStealingTortureOnHotTile)
+TEST(ParallelAB, HotTileTortureMatchesSerial)
 {
     // Every CPU of the 8x4 torus hammers node 0: the 2x2 tiling puts
-    // all the load in tile 0 while three tiles idle — the case the
-    // steal scan converts from three spinning workers into helpers.
-    // Correctness first: the torture run must still be bit-identical
-    // to serial.
+    // all the load in tile 0 while three tiles idle, so three workers
+    // wait at every barrier on the one that owns it. The torture run
+    // must still be bit-identical to serial.
     RunResult serial =
         runGs1280(32, 1, 13, 80, {0, 0}, Load::HotSpot);
     RunResult par =

@@ -269,9 +269,9 @@ TEST(AllocCount, ParallelSteadyStateAllocatesNothingPerWorker)
     // Warm past multiple full calendar-ring laps (horizon ticks
     // each) so every ring bucket, mailbox parity buffer and pool
     // freelist owns steady-state capacity, then measure over a
-    // multi-lap window. The allocation counter is thread-local and
-    // work-stealing moves domains between workers, so sampling runs
-    // per WORKER through the epoch hook (which every worker executes
+    // multi-lap window. The allocation counter is thread-local, so
+    // sampling runs per WORKER through the epoch hook (which every
+    // worker executes
     // every epoch, on its own thread): a simulation event flags the
     // end of warmup, each worker then takes its own baseline once
     // and refreshes its own end sample every epoch after.

@@ -55,4 +55,47 @@ TEST(Args, DoubleParsing)
     EXPECT_DOUBLE_EQ(args.getDouble("frac", 0), 0.25);
 }
 
+TEST(Args, SpaceSeparatedValue)
+{
+    auto args = parse({"--jobs", "8", "--frac", "0.5", "--name", "x"});
+    EXPECT_EQ(args.getInt("jobs", 0), 8);
+    EXPECT_DOUBLE_EQ(args.getDouble("frac", 0), 0.5);
+    EXPECT_EQ(args.getString("name", ""), "x");
+    // A value may start with a single dash.
+    EXPECT_EQ(parse({"--offset", "-3"}).getInt("offset", 0), -3);
+}
+
+TEST(Args, FlagBeforeAnotherOptionStaysAFlag)
+{
+    auto args = parse({"--verbose", "--jobs", "2", "--check"});
+    EXPECT_TRUE(args.getBool("verbose", false));
+    EXPECT_EQ(args.getInt("jobs", 0), 2);
+    EXPECT_TRUE(args.getBool("check", false));
+}
+
+TEST(Args, NonNumericIntIsFatal)
+{
+    EXPECT_EXIT(parse({"--threads=four"}).getInt("threads", 1),
+                ::testing::ExitedWithCode(1),
+                "option --threads expects an integer, got 'four'");
+    EXPECT_EXIT(parse({"--threads="}).getInt("threads", 1),
+                ::testing::ExitedWithCode(1), "option --threads");
+}
+
+TEST(Args, TrailingGarbageIsFatal)
+{
+    EXPECT_EXIT(parse({"--jobs=4x"}).getInt("jobs", 0),
+                ::testing::ExitedWithCode(1),
+                "option --jobs expects an integer, got '4x'");
+    EXPECT_EXIT(parse({"--frac", "0.5s"}).getDouble("frac", 0),
+                ::testing::ExitedWithCode(1),
+                "option --frac expects a number, got '0.5s'");
+}
+
+TEST(Args, OutOfRangeIntIsFatal)
+{
+    EXPECT_EXIT(parse({"--seed=99999999999999999999"}).getInt("seed", 1),
+                ::testing::ExitedWithCode(1), "option --seed");
+}
+
 } // namespace

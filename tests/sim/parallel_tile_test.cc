@@ -1,14 +1,15 @@
 /**
  * @file
  * Tile decomposition and adaptive-lookahead unit tests: the
- * chooseTileShape() selection policy (non-square machines, threads
- * beyond the node count, the 1x1 degenerate), the tileDomainOf()
- * node->tile mapping, the AdaptiveLookahead widen/shrink state
- * machine, EventQueue::truncateDrain (the widened-window abort the
- * Network's injection path relies on), per-edge mailbox parity
- * flipping under the engine's barrier discipline, and work-stealing
- * determinism. This file is its own test binary so the sanitizer CI
- * lane can run it by name.
+ * chooseTileShape() selection policy (non-square and 3-D machines,
+ * threads beyond the node count, the 1x1 degenerate), the
+ * tileDomainOf() node->tile mapping, the AdaptiveLookahead
+ * widen/shrink state machine, EventQueue::truncateDrain (the
+ * widened-window abort the Network's injection path relies on),
+ * per-edge mailbox parity flipping under the engine's barrier
+ * discipline, and thread-count invariance on a one-hot-tile load.
+ * This file is its own test binary so the sanitizer CI lane can run
+ * it by name.
  */
 
 #include <gtest/gtest.h>
@@ -35,33 +36,33 @@ TEST(TileShape, PrefersSquareCheapCutsOnSquareTorus)
 {
     // 8 threads on the 8x8 torus: 2x4 tiles cut 2*8 + 4*8 = 48 wrap
     // links, strictly fewer than the old 8-column split's 64.
-    EXPECT_EQ(chooseTileShape(8, 8, 8), (TileShape{2, 4}));
-    EXPECT_EQ(chooseTileShape(4, 4, 4), (TileShape{2, 2}));
+    EXPECT_EQ(chooseTileShape(8, 8, 1, 8), (TileShape{2, 4}));
+    EXPECT_EQ(chooseTileShape(4, 4, 1, 4), (TileShape{2, 2}));
 }
 
 TEST(TileShape, NonSquareTorusFollowsTheCheapAxis)
 {
     // 8x4 torus, 4 threads: a single row of 4 tiles cuts only the 4
     // column seams (4*4 = 16 links); 2x2 would cut 8*2 + 4*2 = 24.
-    EXPECT_EQ(chooseTileShape(8, 4, 4), (TileShape{1, 4}));
+    EXPECT_EQ(chooseTileShape(8, 4, 1, 4), (TileShape{1, 4}));
     // 4x2 torus, 2 threads: split the wide axis, never the short one.
-    EXPECT_EQ(chooseTileShape(4, 2, 2), (TileShape{1, 2}));
+    EXPECT_EQ(chooseTileShape(4, 2, 1, 2), (TileShape{1, 2}));
 }
 
 TEST(TileShape, ThreadsBeyondNodesClampToOneTilePerNode)
 {
     // 4x2 torus, 8 threads: exactly one tile per node.
-    EXPECT_EQ(chooseTileShape(4, 2, 8), (TileShape{2, 4}));
+    EXPECT_EQ(chooseTileShape(4, 2, 1, 8), (TileShape{2, 4}));
     // More threads than nodes never inflates the tile count.
-    EXPECT_EQ(chooseTileShape(4, 2, 64), (TileShape{2, 4}));
-    EXPECT_EQ(chooseTileShape(2, 1, 8), (TileShape{1, 2}));
+    EXPECT_EQ(chooseTileShape(4, 2, 1, 64), (TileShape{2, 4}));
+    EXPECT_EQ(chooseTileShape(2, 1, 1, 8), (TileShape{1, 2}));
 }
 
 TEST(TileShape, DegenerateMachinesStaySerial)
 {
-    EXPECT_EQ(chooseTileShape(1, 1, 8), (TileShape{1, 1}));
-    EXPECT_EQ(chooseTileShape(8, 8, 1), (TileShape{1, 1}));
-    EXPECT_EQ(chooseTileShape(8, 8, 0), (TileShape{1, 1}));
+    EXPECT_EQ(chooseTileShape(1, 1, 1, 8), (TileShape{1, 1}));
+    EXPECT_EQ(chooseTileShape(8, 8, 1, 1), (TileShape{1, 1}));
+    EXPECT_EQ(chooseTileShape(8, 8, 1, 0), (TileShape{1, 1}));
 }
 
 TEST(TileShape, AlwaysFitsAndCoversTheThreadTarget)
@@ -69,7 +70,7 @@ TEST(TileShape, AlwaysFitsAndCoversTheThreadTarget)
     for (int w : {1, 2, 3, 4, 5, 8}) {
         for (int h : {1, 2, 3, 4, 8}) {
             for (int t : {1, 2, 3, 4, 6, 8, 16, 100}) {
-                TileShape s = chooseTileShape(w, h, t);
+                TileShape s = chooseTileShape(w, h, 1, t);
                 SCOPED_TRACE(std::to_string(w) + "x" +
                              std::to_string(h) + " t" +
                              std::to_string(t));
@@ -83,32 +84,14 @@ TEST(TileShape, AlwaysFitsAndCoversTheThreadTarget)
     }
 }
 
-// --- chooseTileShape3 ------------------------------------------------
-
-TEST(TileShape3, DepthOneReducesExactlyToTheTwoDimensionalPolicy)
-{
-    // The 3-D key must pick the 2-D shape bit-for-bit at depth 1 —
-    // that is what keeps every existing 2-D parallel run (and its
-    // goldens) untouched by the generalization.
-    for (int w : {1, 2, 3, 4, 5, 8, 16})
-        for (int h : {1, 2, 3, 4, 8})
-            for (int t : {1, 2, 3, 4, 6, 8, 16, 100}) {
-                SCOPED_TRACE(std::to_string(w) + "x" +
-                             std::to_string(h) + " t" +
-                             std::to_string(t));
-                EXPECT_EQ(chooseTileShape3(w, h, 1, t),
-                          chooseTileShape(w, h, t));
-            }
-}
-
 TEST(TileShape3, CutsTheCheapestPlanesFirst)
 {
     // 8x8x8 torus, 8 threads: all three dimensions tie, and a
     // balanced 2x2x2 cut beats any single-axis 8-way slice.
-    EXPECT_EQ(chooseTileShape3(8, 8, 8, 8), (TileShape{2, 2, 2}));
+    EXPECT_EQ(chooseTileShape(8, 8, 8, 8), (TileShape{2, 2, 2}));
     // 16x16x8, 4 threads: cutting a 16-wide axis severs 16*8 links
     // per seam; a Z cut severs 16*16. Split the cheap axes.
-    TileShape s = chooseTileShape3(16, 16, 8, 4);
+    TileShape s = chooseTileShape(16, 16, 8, 4);
     EXPECT_EQ(s.count(), 4);
     EXPECT_EQ(s.slabs, 1);
 }
@@ -119,7 +102,7 @@ TEST(TileShape3, AlwaysFitsAndCoversTheThreadTarget)
         for (int h : {1, 3, 4})
             for (int d : {1, 2, 4})
                 for (int t : {1, 2, 4, 8, 64}) {
-                    TileShape s = chooseTileShape3(w, h, d, t);
+                    TileShape s = chooseTileShape(w, h, d, t);
                     SCOPED_TRACE(std::to_string(w) + "x" +
                                  std::to_string(h) + "x" +
                                  std::to_string(d) + " t" +
@@ -141,17 +124,17 @@ TEST(TileShape, DomainMapIsBalancedContiguousRowMajor)
 {
     // 4x4 torus, 2x2 tiles: quadrants, numbered row-major.
     const TileShape s{2, 2};
-    EXPECT_EQ(tileDomainOf(0, 0, 4, 4, s), 0);
-    EXPECT_EQ(tileDomainOf(3, 0, 4, 4, s), 1);
-    EXPECT_EQ(tileDomainOf(0, 3, 4, 4, s), 2);
-    EXPECT_EQ(tileDomainOf(3, 3, 4, 4, s), 3);
+    EXPECT_EQ(tileDomainOf(0, 0, 0, 4, 4, 1, s), 0);
+    EXPECT_EQ(tileDomainOf(3, 0, 0, 4, 4, 1, s), 1);
+    EXPECT_EQ(tileDomainOf(0, 3, 0, 4, 4, 1, s), 2);
+    EXPECT_EQ(tileDomainOf(3, 3, 0, 4, 4, 1, s), 3);
 
     // Every tile of an evenly divisible machine owns the same number
     // of nodes, and node blocks are contiguous in x and y.
     std::array<int, 4> count{};
     for (int y = 0; y < 4; ++y)
         for (int x = 0; x < 4; ++x) {
-            int d = tileDomainOf(x, y, 4, 4, s);
+            int d = tileDomainOf(x, y, 0, 4, 4, 1, s);
             ASSERT_GE(d, 0);
             ASSERT_LT(d, 4);
             count[std::size_t(d)] += 1;
@@ -167,7 +150,7 @@ TEST(TileShape, DomainMapBalancesIndivisibleSplits)
     const TileShape s{1, 3};
     std::array<int, 3> count{};
     for (int x = 0; x < 8; ++x) {
-        int d = tileDomainOf(x, 0, 8, 1, s);
+        int d = tileDomainOf(x, 0, 0, 8, 1, 1, s);
         ASSERT_GE(d, 0);
         ASSERT_LT(d, 3);
         count[std::size_t(d)] += 1;
@@ -176,33 +159,22 @@ TEST(TileShape, DomainMapBalancesIndivisibleSplits)
         EXPECT_GE(count[std::size_t(d)], 2);
 }
 
-// --- tileDomainOf3 ---------------------------------------------------
-
-TEST(TileShape3, DomainMapReducesTo2DAtDepthOne)
-{
-    const TileShape s{2, 2};
-    for (int y = 0; y < 4; ++y)
-        for (int x = 0; x < 4; ++x)
-            EXPECT_EQ(tileDomainOf3(x, y, 0, 4, 4, 1, s),
-                      tileDomainOf(x, y, 4, 4, s));
-}
-
 TEST(TileShape3, DomainMapIsBalancedContiguousSlabMajor)
 {
     // 4x4x4 torus, 2x2x2 tiles: octants, slab-major numbering.
     const TileShape s{2, 2, 2};
-    EXPECT_EQ(tileDomainOf3(0, 0, 0, 4, 4, 4, s), 0);
-    EXPECT_EQ(tileDomainOf3(3, 0, 0, 4, 4, 4, s), 1);
-    EXPECT_EQ(tileDomainOf3(0, 3, 0, 4, 4, 4, s), 2);
-    EXPECT_EQ(tileDomainOf3(3, 3, 0, 4, 4, 4, s), 3);
-    EXPECT_EQ(tileDomainOf3(0, 0, 3, 4, 4, 4, s), 4);
-    EXPECT_EQ(tileDomainOf3(3, 3, 3, 4, 4, 4, s), 7);
+    EXPECT_EQ(tileDomainOf(0, 0, 0, 4, 4, 4, s), 0);
+    EXPECT_EQ(tileDomainOf(3, 0, 0, 4, 4, 4, s), 1);
+    EXPECT_EQ(tileDomainOf(0, 3, 0, 4, 4, 4, s), 2);
+    EXPECT_EQ(tileDomainOf(3, 3, 0, 4, 4, 4, s), 3);
+    EXPECT_EQ(tileDomainOf(0, 0, 3, 4, 4, 4, s), 4);
+    EXPECT_EQ(tileDomainOf(3, 3, 3, 4, 4, 4, s), 7);
 
     std::array<int, 8> count{};
     for (int z = 0; z < 4; ++z)
         for (int y = 0; y < 4; ++y)
             for (int x = 0; x < 4; ++x) {
-                int d = tileDomainOf3(x, y, z, 4, 4, 4, s);
+                int d = tileDomainOf(x, y, z, 4, 4, 4, s);
                 ASSERT_GE(d, 0);
                 ASSERT_LT(d, 8);
                 count[std::size_t(d)] += 1;
@@ -311,12 +283,12 @@ TEST(TruncateDrain, RaisingTheLimitIsIgnored)
  * Four domains in a ring, cross-posting through parity
  * double-buffered per-edge mailboxes exactly the way the Network's
  * boundary-edge boxes work: box[src] is the outbox of edge
- * src -> (src+1)%4, owned for writing by src's claiming worker; a
+ * src -> (src+1)%4, owned for writing by src's worker; a
  * post during epoch E lands in buffer E & 1, and the consumer's
  * merge at the start of epoch E+1 reads that buffer (parity
  * (epochOf+1) & 1 before its own increment) while fresh posts go to
- * the other one. The fixture asserts the discipline holds under
- * stealing and at any thread count: every merge sees exactly the
+ * the other one. The fixture asserts the discipline holds at any
+ * thread count: every merge sees exactly the
  * previous epoch's posts, never its own epoch's.
  */
 struct RingMailboxFixture
@@ -483,11 +455,11 @@ TEST(TileEngine, WindowHookWidensEpochsAwayOnIdleGaps)
     EXPECT_LT(wide, narrow);
 }
 
-TEST(TileEngine, StealingKeepsResultsIdenticalAndCountsSteals)
+TEST(TileEngine, OneHotTileIsThreadCountInvariant)
 {
     // All the work lives in domain 3 — worker 1's home block under
-    // the 2-thread split — so worker 0 can only contribute via the
-    // steal scan. Simulated results must not depend on who wins.
+    // the 2-thread split — so every other worker idles at the
+    // barrier. Simulated results must not depend on the worker count.
     auto runOnce = [](int threads) {
         ParallelEngine::Config cfg;
         cfg.domains = 4;
@@ -501,21 +473,13 @@ TEST(TileEngine, StealingKeepsResultsIdenticalAndCountsSteals)
             });
         Tick end = eng.run(maxTick);
         return std::tuple<std::uint64_t, std::uint64_t, Tick,
-                          std::uint64_t>{
-            sum.load(), eng.firedTotal(), end, eng.steals()};
+                          std::uint64_t>{sum.load(), eng.firedTotal(),
+                                         end, eng.epochs()};
     };
-    auto [s1, f1, e1, st1] = runOnce(1);
-    auto [s2, f2, e2, st2] = runOnce(2);
-    auto [s4, f4, e4, st4] = runOnce(4);
-    EXPECT_EQ(s1, 400u * 401u / 2u);
-    EXPECT_EQ(s1, s2);
-    EXPECT_EQ(s1, s4);
-    EXPECT_EQ(f1, f2);
-    EXPECT_EQ(f1, f4);
-    EXPECT_EQ(e1, e2);
-    EXPECT_EQ(e1, e4);
-    // A single worker has nowhere to steal from.
-    EXPECT_EQ(st1, 0u);
+    const auto one = runOnce(1);
+    EXPECT_EQ(std::get<0>(one), 400u * 401u / 2u);
+    EXPECT_EQ(runOnce(2), one);
+    EXPECT_EQ(runOnce(4), one);
 }
 
 } // namespace
