@@ -1,6 +1,7 @@
 #include "net/router.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "net/network.hh"
 #include "sim/logging.hh"
@@ -19,7 +20,10 @@ Router::Router(Network &network, NodeId node)
     nPorts = static_cast<int>(ref.ports);
     kind_ = prm.routerKind;
 
+    gs_assert(nPorts <= INT8_MAX, "route memo stores ports as int8");
     vcQ.resize(static_cast<std::size_t>(nPorts) * numVcs);
+    vcMask.assign(static_cast<std::size_t>(nPorts), 0);
+    vcMemo.resize(vcQ.size());
 
     for (int p = 0; p < nPorts; ++p) {
         topo::Port link = topo.port(id, p);
@@ -62,6 +66,10 @@ Router::receive(int in_port, int vc, PacketHandle h)
     core->recvFlits[sidx(in_port, vc)] +=
         static_cast<std::uint64_t>(pkt.flits);
     vcQ[slot(in_port, vc)].push(h);
+    vcMask[static_cast<std::size_t>(in_port)] |=
+        static_cast<std::uint16_t>(1u << vc);
+    if (pkt.dst == id)
+        ejectable += 1;
     buffered += 1;
     net.activate(id);
 }
@@ -94,6 +102,8 @@ Router::syncPorts()
 {
     gs_assert(kind_ == RouterKind::Buffered,
               "fault injection requires the buffered router backend");
+    // Any link anywhere may have changed this router's routes.
+    clearRouteMemos();
     const auto &topo = net.topology();
     const auto &prm = net.params();
     for (int p = 0; p < nPorts; ++p) {
@@ -135,12 +145,9 @@ Router::flushAll()
         buffered -= 1;
     }
     sideQ_.clear();
-    for (auto &q : injQs) {
-        while (!q.empty()) {
-            net.dropPacket(id, q.front(), "node-failure");
-            q.pop();
-            injWaiting -= 1;
-        }
+    for (int cls = 0; cls < numClasses; ++cls) {
+        while (!injQs[static_cast<std::size_t>(cls)].empty())
+            net.dropPacket(id, popInjection(cls), "node-failure");
     }
 }
 
@@ -238,18 +245,29 @@ Router::inject(PacketHandle h)
 }
 
 bool
-Router::chooseRoute(const Packet &pkt, Route &route,
-                    bool &unroutable) const
+Router::chooseRoute(PacketHandle h, RouteMemo &memo, Route &route,
+                    bool &unroutable)
 {
     const auto &topo = net.topology();
+    const Packet &pkt = net.poolOf(id).get(h);
+    if (memo.head != h) {
+        memo = RouteMemo{};
+        memo.head = h;
+        if (net.params().adaptiveEnabled && mayAdapt(pkt.cls)) {
+            for (int p : topo.adaptivePorts(id, pkt.dst, pkt.hops))
+                memo.adaptive[memo.nAdaptive++] =
+                    static_cast<std::uint8_t>(p);
+        }
+    }
 
     // Adaptive first: pick the minimal direction with the most free
     // downstream credits ("a message can choose the less congested
     // minimal path").
-    if (net.params().adaptiveEnabled && mayAdapt(pkt.cls)) {
+    if (memo.nAdaptive > 0) {
         int vc = vcIndex(pkt.cls, vcAdaptive);
         int bestPort = -1, bestCredits = -1;
-        for (int p : topo.adaptivePorts(id, pkt.dst, pkt.hops)) {
+        for (int i = 0; i < memo.nAdaptive; ++i) {
+            int p = memo.adaptive[static_cast<std::size_t>(i)];
             int credits = core->credits[sidx(p, vc)];
             if (credits >= pkt.flits && credits > bestCredits) {
                 bestCredits = credits;
@@ -264,8 +282,15 @@ Router::chooseRoute(const Packet &pkt, Route &route,
 
     // Escape: the deadlock-free channel is always routable; it may
     // just lack credits right now, in which case the packet waits.
-    topo::EscapeHop esc = topo.escapeRoute(id, pkt.dst, 0);
-    if (esc.port < 0) {
+    // The lookup is memoized the first time the head gets this far.
+    if (memo.escPort == RouteMemo::escUnknown) {
+        topo::EscapeHop esc = topo.escapeRoute(id, pkt.dst, 0);
+        memo.escPort = static_cast<std::int8_t>(esc.port < 0 ? -1
+                                                             : esc.port);
+        memo.escVc = static_cast<std::uint8_t>(
+            vcIndex(pkt.cls, esc.vc == 0 ? vcEscape0 : vcEscape1));
+    }
+    if (memo.escPort < 0) {
         // Only a degraded fabric may legitimately lose every route
         // to a destination; anywhere else it is a simulator bug.
         gs_assert(net.degraded(), "escape route missing at node ", id,
@@ -273,9 +298,8 @@ Router::chooseRoute(const Packet &pkt, Route &route,
         unroutable = true;
         return false;
     }
-    int vc = vcIndex(pkt.cls, esc.vc == 0 ? vcEscape0 : vcEscape1);
-    if (core->credits[sidx(esc.port, vc)] >= pkt.flits) {
-        route = Route{esc.port, vc};
+    if (core->credits[sidx(memo.escPort, memo.escVc)] >= pkt.flits) {
+        route = Route{memo.escPort, memo.escVc};
         return true;
     }
     return false;
@@ -288,7 +312,14 @@ Router::popHead(int in_port, int vc)
     gs_assert(!q.empty());
     PacketHandle h = q.front();
     q.pop();
-    int flits = net.poolOf(id).get(h).flits;
+    vcMemo[slot(in_port, vc)].head = invalidHandle;
+    if (q.empty())
+        vcMask[static_cast<std::size_t>(in_port)] &=
+            static_cast<std::uint16_t>(~(1u << vc));
+    const Packet &pkt = net.poolOf(id).get(h);
+    if (pkt.dst == id)
+        ejectable -= 1;
+    int flits = pkt.flits;
     core->flitsUsed[sidx(in_port, vc)] -= flits;
     buffered -= 1;
     // Freed buffer space becomes a credit at our upstream neighbour:
@@ -299,13 +330,35 @@ Router::popHead(int in_port, int vc)
     return h;
 }
 
+PacketHandle
+Router::popInjection(int cls)
+{
+    const auto c = static_cast<std::size_t>(cls);
+    PacketHandle h = injQs[c].front();
+    injQs[c].pop();
+    injMemo[c].head = invalidHandle;
+    injWaiting -= 1;
+    return h;
+}
+
+void
+Router::clearRouteMemos()
+{
+    for (RouteMemo &m : vcMemo)
+        m.head = invalidHandle;
+    for (RouteMemo &m : injMemo)
+        m.head = invalidHandle;
+}
+
 void
 Router::ejectPass(Tick now)
 {
     (void)now;
     const PacketPool &pool = net.poolOf(id);
-    for (int p = 0; p < nPorts; ++p) {
-        for (int vc = 0; vc < numVcs; ++vc) {
+    for (int p = 0; p < nPorts && ejectable > 0; ++p) {
+        for (unsigned bits = vcMask[static_cast<std::size_t>(p)];
+             bits != 0; bits &= bits - 1) {
+            const int vc = std::countr_zero(bits);
             auto &q = vcQ[slot(p, vc)];
             while (!q.empty() && pool.get(q.front()).dst == id) {
                 PacketHandle h = popHead(p, vc);
@@ -315,42 +368,51 @@ Router::ejectPass(Tick now)
     }
 }
 
+bool
+Router::nominateVc(int in_port, int vc, Tick now)
+{
+    auto &q = vcQ[slot(in_port, vc)];
+    RouteMemo &memo = vcMemo[slot(in_port, vc)];
+    Route route;
+    bool nominated = false;
+    while (!q.empty()) {
+        bool unroutable = false;
+        if (chooseRoute(q.front(), memo, route, unroutable)) {
+            nominated = true;
+            break;
+        }
+        if (!unroutable) {
+            core->creditStalls[sidx(in_port, vc)] += 1;
+            break;
+        }
+        PacketHandle h = popHead(in_port, vc);
+        net.dropPacket(id, h, "unroutable");
+    }
+    if (!nominated || core->busyUntil[pidx(route.outPort)] > now)
+        return false;
+    noms.push_back(Nominee{in_port, vc, route});
+    core->rrVc[pidx(in_port)] = (vc + 1) % numVcs;
+    return true;
+}
+
 void
 Router::nominate(Tick now)
 {
     noms.clear();
-    PacketPool &pool = net.poolOf(id);
 
-    // Network input ports: one nominee each, round-robin over VCs.
-    // Heads whose destination lost every route (degraded fabric) are
+    // Network input ports: one nominee each, round-robin over the
+    // non-empty VCs — rrVc..numVcs-1 first, then 0..rrVc-1. Heads
+    // whose destination lost every route (degraded fabric) are
     // dropped on the spot: waiting cannot bring the route back.
     for (int p = 0; p < nPorts; ++p) {
-        for (int k = 0; k < numVcs; ++k) {
-            int vc = (core->rrVc[pidx(p)] + k) % numVcs;
-            auto &q = vcQ[slot(p, vc)];
-            Route route;
-            bool nominated = false;
-            while (!q.empty()) {
-                bool unroutable = false;
-                if (chooseRoute(pool.get(q.front()), route,
-                                unroutable)) {
-                    nominated = true;
-                    break;
-                }
-                if (!unroutable) {
-                    core->creditStalls[sidx(p, vc)] += 1;
-                    break;
-                }
-                PacketHandle h = popHead(p, vc);
-                net.dropPacket(id, h, "unroutable");
-            }
-            if (!nominated)
-                continue;
-            if (core->busyUntil[pidx(route.outPort)] > now)
-                continue;
-            noms.push_back(Nominee{p, vc, route});
-            core->rrVc[pidx(p)] = (vc + 1) % numVcs;
-            break;
+        const unsigned mask = vcMask[static_cast<std::size_t>(p)];
+        if (mask == 0)
+            continue;
+        const unsigned fromRr = ~0u << core->rrVc[pidx(p)];
+        bool nominated = false;
+        for (unsigned bits : {mask & fromRr, mask & ~fromRr}) {
+            for (; bits != 0 && !nominated; bits &= bits - 1)
+                nominated = nominateVc(p, std::countr_zero(bits), now);
         }
     }
 
@@ -358,11 +420,12 @@ Router::nominate(Tick now)
     for (int k = 0; k < numClasses; ++k) {
         int cls = (injRrClass + k) % numClasses;
         auto &q = injQs[static_cast<std::size_t>(cls)];
+        RouteMemo &memo = injMemo[static_cast<std::size_t>(cls)];
         Route route;
         bool nominated = false;
         while (!q.empty()) {
             bool unroutable = false;
-            if (chooseRoute(pool.get(q.front()), route, unroutable)) {
+            if (chooseRoute(q.front(), memo, route, unroutable)) {
                 nominated = true;
                 break;
             }
@@ -370,9 +433,7 @@ Router::nominate(Tick now)
                 injStalls[static_cast<std::size_t>(cls)] += 1;
                 break;
             }
-            net.dropPacket(id, q.front(), "unroutable");
-            q.pop();
-            injWaiting -= 1;
+            net.dropPacket(id, popInjection(cls), "unroutable");
         }
         if (!nominated)
             continue;
@@ -414,15 +475,9 @@ Router::grant(Tick now)
         if (!winner)
             continue;
 
-        PacketHandle h;
-        if (winner->inPort < 0) {
-            auto &q = injQs[static_cast<std::size_t>(winner->vc)];
-            h = q.front();
-            q.pop();
-            injWaiting -= 1;
-        } else {
-            h = popHead(winner->inPort, winner->vc);
-        }
+        PacketHandle h = winner->inPort < 0
+                             ? popInjection(winner->vc)
+                             : popHead(winner->inPort, winner->vc);
         Packet &pkt = pool.get(h);
 
         // Latency x-ray: the grant closes the injection wait (source
@@ -653,8 +708,7 @@ Router::tickBufferless(Tick now)
             injStalls[static_cast<std::size_t>(cls)] += 1;
             continue;
         }
-        q.pop();
-        injWaiting -= 1;
+        popInjection(cls);
         sendBufferless(h, out, now);
         injRrClass = (cls + 1) % numClasses;
         break;
@@ -772,6 +826,33 @@ Router::restoreCkpt(ckpt::Deserializer &d)
     const std::uint32_t nSide = d.get32();
     for (std::uint32_t i = 0; i < nSide && d.ok(); ++i)
         sideQ_.push_back(d.get32());
+
+    // Derived hot-path state is not in the snapshot: rebuild the
+    // occupancy masks and the eject count from the restored queues
+    // (the pool is restored first, so handles resolve) and forget
+    // every memo the pre-restore run left behind.
+    clearRouteMemos();
+    std::fill(vcMask.begin(), vcMask.end(), 0);
+    ejectable = 0;
+    if (!d.ok())
+        return;
+    const PacketPool &pool = net.poolOf(id);
+    for (int p = 0; p < nPorts; ++p) {
+        for (int vc = 0; vc < numVcs; ++vc) {
+            const HandleQueue &q = vcQ[slot(p, vc)];
+            if (q.empty())
+                continue;
+            vcMask[static_cast<std::size_t>(p)] |=
+                static_cast<std::uint16_t>(1u << vc);
+            for (PacketHandle h : q) {
+                if (h >= pool.capacity()) {
+                    d.fail("router queue handle out of range");
+                    return;
+                }
+                ejectable += pool.get(h).dst == id ? 1 : 0;
+            }
+        }
+    }
 }
 
 } // namespace gs::net

@@ -68,12 +68,22 @@
  * structure-of-arrays (router_core.hh) — this object holds only its
  * base offsets into those flat arrays, its handle queues, and the
  * arbitration logic.
+ *
+ * Hot path: per-tick work follows the buffered packets, not the
+ * ports x VCs grid. A per-port occupancy mask lets the local arbiters
+ * and the eject scan visit only non-empty VCs, a count of buffered
+ * packets addressed here lets the eject scan return at once when
+ * there are none, and a per-head route memo keeps a blocked head's
+ * topology queries from being repeated on every tick it waits. All
+ * three are derived state: rebuilt from the queues on restore, never
+ * serialized (docs/ROUTER.md, "Hot path").
  */
 
 #ifndef GS_NET_ROUTER_HH
 #define GS_NET_ROUTER_HH
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -84,6 +94,7 @@
 #include "net/router_core.hh"
 #include "sim/telemetry.hh"
 #include "sim/types.hh"
+#include "topology/topology.hh"
 
 namespace gs::net
 {
@@ -219,6 +230,28 @@ class Router
         int outVc = -1;
     };
 
+    /**
+     * A queue head's topology queries — adaptivePorts(id, dst, hops)
+     * and escapeRoute(id, dst, 0) — computed when the packet first
+     * arbitrates as head and reused on every tick it stays blocked;
+     * only the credit comparison runs per tick. Valid while @c head
+     * is the queue's front: every pop and every topology change
+     * clears it, so a recycled handle never meets a stale entry.
+     */
+    struct RouteMemo
+    {
+        /** escPort before the escape route has been looked up. */
+        static constexpr std::int8_t escUnknown = -2;
+
+        PacketHandle head = invalidHandle;
+        std::int8_t escPort = escUnknown; ///< -1: no escape route
+        std::uint8_t escVc = 0;           ///< VC index on escPort
+        std::uint8_t nAdaptive = 0; ///< 0 when the class never adapts
+        std::array<std::uint8_t, topo::PortSet::capacity> adaptive{};
+    };
+    static_assert(sizeof(RouteMemo) == 16, "keep the memo compact");
+    static_assert(numVcs <= 16, "VC occupancy masks are 16 bits");
+
     /** A local-arbiter nomination. */
     struct Nominee
     {
@@ -268,15 +301,16 @@ class Router
     }
 
     /**
-     * Pick the best feasible output for @p pkt: adaptive candidate
-     * with most free credits, else escape.
+     * Pick the best feasible output for the head @p h of the queue
+     * @p memo belongs to: adaptive candidate with most free credits,
+     * else escape. Topology queries go through (and fill) @p memo.
      * @retval false when no output currently has room. @p unroutable
      * is additionally set when the destination has no escape route
      * at all (degraded fabric) — the packet must be dropped, since
      * no amount of waiting brings the route back.
      */
-    bool chooseRoute(const Packet &pkt, Route &out,
-                     bool &unroutable) const;
+    bool chooseRoute(PacketHandle h, RouteMemo &memo, Route &out,
+                     bool &unroutable);
 
     /**
      * Buffer capacity of output VC @p vc: flits (buffered) or latch
@@ -289,6 +323,13 @@ class Router
 
     /** Run the local arbiters, filling the nominee list. */
     void nominate(Tick now);
+
+    /**
+     * Local arbitration of input VC (@p in_port, @p vc): drop
+     * unroutable heads, count a credit stall, or nominate the head.
+     * @retval true when the head was nominated.
+     */
+    bool nominateVc(int in_port, int vc, Tick now);
 
     /** Run the global arbiters and perform the granted transfers. */
     void grant(Tick now);
@@ -322,6 +363,12 @@ class Router
     /** Pop the head of an input VC, returning upstream credits. */
     PacketHandle popHead(int in_port, int vc);
 
+    /** Pop the head of injection queue @p cls. */
+    PacketHandle popInjection(int cls);
+
+    /** Invalidate every route memo (topology changed, or restore). */
+    void clearRouteMemos();
+
     Network &net;
     NodeId id;
     RouterCore *core;  ///< the owning Network's flat state
@@ -332,6 +379,15 @@ class Router
 
     std::vector<HandleQueue> vcQ; ///< buffered packets, slot()-indexed
     std::array<HandleQueue, numClasses> injQs;
+
+    /** @name Derived hot-path state (rebuilt on restore) */
+    /// @{
+    std::vector<std::uint16_t> vcMask; ///< per port: non-empty VCs
+    int ejectable = 0; ///< buffered packets whose dst is this node
+    std::vector<RouteMemo> vcMemo; ///< slot()-indexed
+    std::array<RouteMemo, numClasses> injMemo;
+    /// @}
+
     std::array<std::uint64_t, numClasses> injStalls{}; ///< telemetry
     int injRrClass = 0;
     Tick statsWindowStart = 0; ///< busy-fraction window origin

@@ -8,6 +8,7 @@
 #include "fault/degraded.hh"
 #include "fault/injector.hh"
 #include "sim/random.hh"
+#include "sim/telemetry.hh"
 #include "topology/torus.hh"
 #include "topology/tree.hh"
 
@@ -91,6 +92,57 @@ TEST(FaultInjection, SaturatingTrafficDrainsOnDegradedTorus)
     f.ctx.queue().runUntil(100 * tickMs);
 
     EXPECT_EQ(got, sent) << "degraded fabric failed to drain";
+    EXPECT_EQ(f.net.inFlight(), 0);
+    EXPECT_EQ(f.net.stats().droppedPackets, 0u);
+}
+
+/**
+ * Route memo invalidation. On an 8x4 torus, node 0's traffic to
+ * node 2 has one minimal route, east through node 1, where it
+ * competes with node 1's own traffic to node 2 for the 1 -> 2 link.
+ * Node 1's input buffers back up, so router 0's injection head is
+ * blocked on the credits of the 0 -> 1 link when that link fails.
+ * The head's memoized route names the dead port; the failure must
+ * discard it so the head reroutes over the surviving detour.
+ * Nothing may be granted onto the dead link afterwards, and every
+ * packet must arrive.
+ */
+TEST(FaultInjection, BlockedHeadReroutesWhenItsMemoizedLinkFails)
+{
+    FaultFixture f(8, 4);
+    int got = 0, detoured = 0;
+    f.net.setHandler(2, [&](const Packet &p) {
+        got += 1;
+        detoured += p.src == 0 && p.hops > 2 ? 1 : 0;
+    });
+    telem::Registry reg;
+    f.net.router(0).registerTelemetry(
+        reg, "r0", [](int p) { return std::to_string(p); });
+    const std::string stalls = "r0.inj.blk.stalls";
+
+    const int perSource = 100;
+    for (int i = 0; i < perSource; ++i) {
+        for (NodeId src : {0, 1})
+            f.net.inject(makePacket(src, 2, MsgClass::BlockResponse,
+                                    net::dataFlits));
+    }
+    // Run until router 0's head has sat on exhausted credits for a
+    // few ticks, with most of its burst still queued behind it.
+    while (reg.value(stalls) < 3 && f.ctx.now() < tickUs)
+        f.ctx.queue().runFor(f.net.period());
+    ASSERT_GE(reg.value(stalls), 3) << "head never blocked on credits";
+    ASSERT_GT(f.net.router(0).injQueueDepth(MsgClass::BlockResponse),
+              static_cast<std::size_t>(perSource / 2));
+
+    f.inj.failLink(0, topo::portEast);
+    const std::uint64_t deadFlits =
+        f.net.linkBusyFlits(0, topo::portEast);
+    f.ctx.queue().runUntil(100 * tickMs);
+
+    EXPECT_EQ(f.net.linkBusyFlits(0, topo::portEast), deadFlits)
+        << "granted onto the failed link";
+    EXPECT_EQ(got, 2 * perSource);
+    EXPECT_GT(detoured, 0);
     EXPECT_EQ(f.net.inFlight(), 0);
     EXPECT_EQ(f.net.stats().droppedPackets, 0u);
 }

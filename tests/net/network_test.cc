@@ -5,9 +5,12 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "net/network.hh"
+#include "sim/checkpoint.hh"
 #include "sim/random.hh"
+#include "sim/telemetry.hh"
 #include "topology/torus.hh"
 #include "topology/tree.hh"
 
@@ -227,6 +230,212 @@ TEST(Network, TreeFabricDrains)
     }
     ctx.queue().runUntil(100 * tickMs);
     EXPECT_EQ(got, sent);
+}
+
+/** One delivery observation, in arrival order. */
+struct Delivery
+{
+    Tick when;
+    NodeId node;
+    std::uint64_t id;
+    int hops;
+
+    bool operator==(const Delivery &) const = default;
+};
+
+/** A Network snapshot plus the event-queue part Machine::save adds. */
+struct NetSnapshot
+{
+    struct Pending
+    {
+        Tick when;
+        std::uint64_t seq;
+        ckpt::EventDesc desc;
+    };
+
+    EventQueue::CkptState queue;
+    std::vector<Pending> events;
+    std::vector<std::uint8_t> bytes;
+};
+
+NetSnapshot
+saveNet(SimContext &ctx, const Network &net)
+{
+    NetSnapshot snap;
+    snap.queue = ctx.queue().ckptState();
+    ctx.queue().visitPending([&snap](Tick when, std::uint64_t seq,
+                                     const ckpt::EventDesc &desc) {
+        snap.events.push_back({when, seq, desc});
+    });
+    ckpt::Serializer s;
+    net.saveCkpt(s);
+    snap.bytes = s.buffer();
+    return snap;
+}
+
+void
+restoreNet(SimContext &ctx, Network &net, const NetSnapshot &snap)
+{
+    ctx.queue().restoreBegin(snap.queue);
+    ckpt::Deserializer d(snap.bytes.data(), snap.bytes.size());
+    net.restoreCkpt(d);
+    ASSERT_TRUE(d.ok()) << d.error();
+    for (const auto &e : snap.events) {
+        auto fn = net.rehydrateEvent(e.desc);
+        ASSERT_TRUE(fn) << "event kind " << e.desc.kind;
+        ctx.queue().insertRestored(e.when, e.seq, e.desc, std::move(fn));
+    }
+}
+
+/**
+ * A storm of every class on @p f, injected up front: @p bursts
+ * packets from every node. @p dst_shift moves every destination
+ * without changing sources, classes or injection order, so two
+ * fresh networks hand out the same pool handles to the same
+ * source queues while routing them differently.
+ */
+int
+injectStorm(NetFixture &f, int bursts, int dst_shift = 0)
+{
+    Rng rng(11);
+    const int n = f.topo.numNodes();
+    int sent = 0;
+    for (int burst = 0; burst < bursts; ++burst) {
+        for (NodeId src = 0; src < n; ++src) {
+            const auto r = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(n - 1)));
+            const auto dst = static_cast<NodeId>(
+                (src + 1 + (r + dst_shift) % (n - 1)) % n);
+            auto cls = static_cast<MsgClass>(rng.below(numClasses));
+            Packet p = makePacket(src, dst, cls,
+                                  cls == MsgClass::BlockResponse
+                                      ? dataFlits
+                                      : headerFlits);
+            p.id = static_cast<std::uint64_t>(sent + 1);
+            f.net.inject(p);
+            sent += 1;
+        }
+    }
+    return sent;
+}
+
+/** Every per-VC, per-port and injection counter of @p net. */
+std::map<std::string, double>
+routerCounters(NetFixture &f)
+{
+    telem::Registry reg;
+    for (NodeId node = 0; node < f.topo.numNodes(); ++node) {
+        f.net.router(node).registerTelemetry(
+            reg, telem::path("node", node, "router"),
+            [](int p) { return std::to_string(p); });
+    }
+    std::map<std::string, double> out;
+    for (const std::string &p : reg.paths())
+        out[p] = reg.value(p);
+    for (NodeId node = 0; node < f.topo.numNodes(); ++node) {
+        const Router &r = f.net.router(node);
+        for (int p = 0; p < f.topo.numPorts(node); ++p) {
+            for (int vc = 0; vc < numVcs; ++vc) {
+                const std::string vp = telem::path(
+                    "node", node, "port", std::to_string(p), "vc", vc);
+                out[vp + ".occupancy"] = r.vcOccupancy(p, vc);
+                out[vp + ".credits"] = r.creditsAvailable(p, vc);
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * Save a Network mid-storm — packets buffered in VCs and waiting in
+ * injection queues at several routers — and restore it twice: into
+ * a fresh Network, and into a used one that is mid-way through a
+ * storm whose packets hold the same pool handles with other
+ * destinations (so its route memos would misroute the restored
+ * heads). Both continuations must reproduce the uninterrupted run's
+ * deliveries and every router counter: occupancy masks, eject
+ * counts and route memos are derived, so restore must rebuild or
+ * clear them.
+ */
+TEST(Network, RestoreMidStormMatchesUninterruptedRun)
+{
+    const Tick saveAt = 150 * tickNs; // the storm drains by ~400 ns
+    NetFixture a;
+    const int n = a.topo.numNodes();
+    std::vector<Delivery> traceA;
+    for (NodeId node = 0; node < n; ++node) {
+        a.net.setHandler(node, [&traceA, &a, node](const Packet &p) {
+            traceA.push_back(Delivery{a.ctx.now(), node, p.id, p.hops});
+        });
+    }
+    const int sent = injectStorm(a, 60);
+    a.ctx.queue().runUntil(saveAt);
+
+    int routersWithVcs = 0, routersWithInj = 0;
+    for (NodeId node = 0; node < n; ++node) {
+        const Router &r = a.net.router(node);
+        bool vcs = false, inj = false;
+        for (int p = 0; p < a.topo.numPorts(node); ++p)
+            for (int vc = 0; vc < numVcs; ++vc)
+                vcs = vcs || r.vcOccupancy(p, vc) > 0;
+        for (int c = 0; c < numClasses; ++c)
+            inj = inj || r.injQueueDepth(static_cast<MsgClass>(c)) > 0;
+        routersWithVcs += vcs ? 1 : 0;
+        routersWithInj += inj ? 1 : 0;
+    }
+    ASSERT_GE(routersWithVcs, 2) << "save point is not mid-storm";
+    ASSERT_GE(routersWithInj, 2) << "save point is not mid-storm";
+
+    const NetSnapshot snap = saveNet(a.ctx, a.net);
+    const std::size_t before = traceA.size();
+    ASSERT_LT(before, static_cast<std::size_t>(sent));
+
+    a.ctx.queue().runUntil(100 * tickMs);
+    ASSERT_EQ(traceA.size(), static_cast<std::size_t>(sent));
+    ASSERT_EQ(a.net.inFlight(), 0);
+    const std::vector<Delivery> tail(traceA.begin() +
+                                         static_cast<std::ptrdiff_t>(
+                                             before),
+                                     traceA.end());
+    const auto countersA = routerCounters(a);
+
+    auto expectSameContinuation = [&](NetFixture &f,
+                                      const std::vector<Delivery> &t) {
+        ASSERT_EQ(t.size(), tail.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            ASSERT_EQ(t[i], tail[i]) << "first divergence at " << i;
+        EXPECT_EQ(f.net.inFlight(), 0);
+        EXPECT_EQ(f.net.stats().deliveredPackets,
+                  static_cast<std::uint64_t>(sent));
+        EXPECT_EQ(routerCounters(f), countersA);
+    };
+
+    // Restore into a fresh Network.
+    NetFixture b;
+    std::vector<Delivery> traceB;
+    for (NodeId node = 0; node < n; ++node) {
+        b.net.setHandler(node, [&traceB, &b, node](const Packet &p) {
+            traceB.push_back(Delivery{b.ctx.now(), node, p.id, p.hops});
+        });
+    }
+    restoreNet(b.ctx, b.net, snap);
+    b.ctx.queue().runUntil(100 * tickMs);
+    expectSameContinuation(b, traceB);
+
+    // Restore into a Network mid-way through a twin storm.
+    NetFixture c;
+    std::vector<Delivery> traceC;
+    for (NodeId node = 0; node < n; ++node) {
+        c.net.setHandler(node, [&traceC, &c, node](const Packet &p) {
+            traceC.push_back(Delivery{c.ctx.now(), node, p.id, p.hops});
+        });
+    }
+    injectStorm(c, 60, n / 2);
+    c.ctx.queue().runUntil(saveAt);
+    restoreNet(c.ctx, c.net, snap);
+    traceC.clear();
+    c.ctx.queue().runUntil(100 * tickMs);
+    expectSameContinuation(c, traceC);
 }
 
 TEST(Network, ClearStatsResets)

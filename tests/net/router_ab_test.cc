@@ -11,7 +11,9 @@
  * destination, class, length and injection tick all drawn from one
  * seeded Rng — on both fabrics across several torus shapes, and
  * assert the full delivery traces and every observable counter match
- * element for element. Modeled on tests/sim/event_queue_ab_test.cc.
+ * element for element. 3-D shapes cover 6-port routers, size-2 rings
+ * and hop-dependent route memos. Modeled on
+ * tests/sim/event_queue_ab_test.cc.
  */
 
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "net/network.hh"
 #include "sim/random.hh"
 #include "topology/torus.hh"
+#include "topology/torus3d.hh"
 
 namespace
 {
@@ -64,10 +67,9 @@ struct Op
  * arbitration, credit stalls) and quiet drains (tick-chain restarts).
  */
 std::vector<Op>
-makeProgram(std::uint64_t seed, int w, int h, int packets)
+makeProgram(std::uint64_t seed, int n, int packets)
 {
     Rng rng(seed);
-    const int n = w * h;
     std::vector<Op> ops;
     ops.reserve(static_cast<std::size_t>(packets));
     Tick t = 0;
@@ -117,32 +119,29 @@ replay(Net &net, SimContext &ctx, const std::vector<Op> &ops,
     return trace;
 }
 
-class RouterAB
-    : public testing::TestWithParam<std::tuple<std::uint64_t, int, int>>
-{
-};
-
 /**
  * The core contract: identical delivery traces (tick, node, packet,
- * hops) and identical counters, across shapes from a degenerate ring
- * to a 32-node torus. ~8k packets per combination, each traversing
- * several hops with eject/nominate/grant/credit cycles at every hop,
- * comfortably exceeds 100k randomized router decisions per seed.
+ * hops) and identical counters on the topology @p make_topo builds
+ * (called once per fabric). ~8k packets per combination, each
+ * traversing several hops with eject/nominate/grant/credit cycles at
+ * every hop, comfortably exceeds 100k randomized router decisions
+ * per seed.
  */
-TEST_P(RouterAB, IdenticalDeliveryTraceAndCounters)
+template <typename MakeTopo>
+void
+expectIdenticalFabrics(std::uint64_t seed, MakeTopo make_topo)
 {
-    const auto [seed, w, h] = GetParam();
-    const int n = w * h;
+    auto topoA = make_topo();
+    auto topoB = make_topo();
+    const int n = topoA.numNodes();
     const int packets = 8000;
-    const auto ops = makeProgram(seed, w, h, packets);
+    const auto ops = makeProgram(seed, n, packets);
 
     SimContext ctxA(seed);
-    topo::Torus2D topoA(w, h);
     Network a(ctxA, topoA, NetworkParams::gs1280());
     const auto traceA = replay(a, ctxA, ops, n);
 
     SimContext ctxB(seed);
-    topo::Torus2D topoB(w, h);
     legacy::LegacyNet b(ctxB, topoB, NetworkParams::gs1280());
     const auto traceB = replay(b, ctxB, ops, n);
 
@@ -191,6 +190,20 @@ TEST_P(RouterAB, IdenticalDeliveryTraceAndCounters)
     }
 }
 
+class RouterAB
+    : public testing::TestWithParam<std::tuple<std::uint64_t, int, int>>
+{
+};
+
+/** 2-D shapes, from a degenerate ring to a 32-node torus. */
+TEST_P(RouterAB, IdenticalDeliveryTraceAndCounters)
+{
+    const auto [seed, w, h] = GetParam();
+    expectIdenticalFabrics(seed, [w = w, h = h] {
+        return topo::Torus2D(w, h);
+    });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndShapes, RouterAB,
     testing::Combine(testing::Values<std::uint64_t>(1, 7, 42, 1234),
@@ -201,6 +214,39 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<0>(info.param)) + "_" +
                std::to_string(std::get<1>(info.param)) + "x" +
                std::to_string(std::get<2>(info.param));
+    });
+
+class RouterAB3D
+    : public testing::TestWithParam<
+          std::tuple<std::uint64_t, std::tuple<int, int, int>>>
+{
+};
+
+/**
+ * 3-D shapes: six-port routers (the topology of the 2048P scale
+ * point), and 2x2x2, where every ring has size 2 so both directions
+ * of a dimension reach the same neighbour.
+ */
+TEST_P(RouterAB3D, IdenticalDeliveryTraceAndCounters)
+{
+    const auto [seed, shape] = GetParam();
+    const auto [w, h, d] = shape;
+    expectIdenticalFabrics(seed, [w = w, h = h, d = d] {
+        return topo::Torus3D(w, h, d);
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndShapes, RouterAB3D,
+    testing::Combine(testing::Values<std::uint64_t>(1, 42),
+                     testing::Values(std::make_tuple(4, 2, 2),
+                                     std::make_tuple(2, 2, 2))),
+    [](const auto &info) {
+        const auto &shape = std::get<1>(info.param);
+        return "seed" + std::to_string(std::get<0>(info.param)) +
+               "_" + std::to_string(std::get<0>(shape)) + "x" +
+               std::to_string(std::get<1>(shape)) + "x" +
+               std::to_string(std::get<2>(shape));
     });
 
 /**
