@@ -30,6 +30,11 @@ verifyCoherence(const std::vector<CoherentNode *> &nodes)
     };
 
     for (const CoherentNode *node : nodes) {
+        if (node->quiesced() != node->quiescedByScan()) {
+            fail("node " + std::to_string(node->id()) +
+                 " quiescence counters disagree with its tables");
+            return result;
+        }
         if (!node->quiesced()) {
             fail("node " + std::to_string(node->id()) +
                  " is not quiesced");

@@ -1,6 +1,7 @@
 #include "coherence/node.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "coherence/tracer.hh"
 #include "sim/logging.hh"
@@ -81,7 +82,7 @@ CoherentNode::registerTelemetry(telem::Registry &reg,
     reg.addAverage(telem::path(prefix, "miss_latency_ns"),
                    st.missLatencyNs);
     reg.addGauge(telem::path(prefix, "maf_outstanding"), [this] {
-        return static_cast<double>(maf.size());
+        return static_cast<double>(mafCount);
     });
     reg.addGauge(telem::path(prefix, "victim_buffer_fill"), [this] {
         return static_cast<double>(vb.size());
@@ -112,12 +113,24 @@ CoherentNode::memUtilization(Tick window_start, Tick now) const
 bool
 CoherentNode::quiesced() const
 {
-    if (!maf.empty() || !vb.empty() || !pendingCore.empty())
+    return mafCount == 0 && vb.empty() && pendingCore.empty() &&
+           busyLines == 0 && queuedHome == 0;
+}
+
+bool
+CoherentNode::quiescedByScan() const
+{
+    const auto freeSlots =
+        std::count(mafLines.begin(), mafLines.end(), noLine);
+    if (static_cast<std::size_t>(freeSlots) != mafLines.size() ||
+        !vb.empty() || !pendingCore.empty())
         return false;
-    for (const auto &[line, entry] : dir) {
-        if (entry.state == DirState::Busy)
-            return false;
-    }
+    bool busy = false;
+    dir.forEach([&busy](mem::Addr, const DirEntry &e) {
+        busy = busy || e.state == DirState::Busy;
+    });
+    if (busy)
+        return false;
     for (const auto &[line, txn] : dirTxns) {
         if (!txn.pending.empty())
             return false;
@@ -128,31 +141,33 @@ CoherentNode::quiesced() const
 DirState
 CoherentNode::dirState(mem::Addr line) const
 {
-    auto it = dir.find(mem::lineOf(line));
-    return it == dir.end() ? DirState::Invalid : it->second.state;
+    const DirEntry *e = dir.find(mem::lineOf(line));
+    return e ? e->state : DirState::Invalid;
 }
 
 std::uint64_t
 CoherentNode::dirSharers(mem::Addr line) const
 {
-    auto it = dir.find(mem::lineOf(line));
-    return it == dir.end() ? 0 : it->second.sharers;
+    const DirEntry *e = dir.find(mem::lineOf(line));
+    return e ? e->sharers : 0;
 }
 
 NodeId
 CoherentNode::dirOwner(mem::Addr line) const
 {
-    auto it = dir.find(mem::lineOf(line));
-    return it == dir.end() ? invalidNode : it->second.owner;
+    const DirEntry *e = dir.find(mem::lineOf(line));
+    return e ? e->owner : invalidNode;
 }
 
 std::vector<mem::Addr>
 CoherentNode::dirLines() const
 {
     std::vector<mem::Addr> lines;
-    for (const auto &[line, entry] : dir)
-        if (entry.state != DirState::Invalid)
+    dir.forEach([&lines](mem::Addr line, const DirEntry &e) {
+        if (e.state != DirState::Invalid)
             lines.push_back(line);
+    });
+    std::sort(lines.begin(), lines.end());
     return lines;
 }
 
@@ -176,6 +191,14 @@ mapBytes(const M &m)
 } // namespace
 
 std::size_t
+CoherentNode::mafBytes() const
+{
+    return mafLines.capacity() * sizeof(mem::Addr) +
+           mafSlots.capacity() * sizeof(MafEntry) +
+           fillBatches.capacity() * sizeof(FillBatch);
+}
+
+std::size_t
 CoherentNode::footprintBytes() const
 {
     std::size_t b = sizeof(*this);
@@ -183,8 +206,7 @@ CoherentNode::footprintBytes() const
         b += cache->footprintBytes();
     for (const auto &z : zboxes)
         b += z->footprintBytes();
-    b += mapBytes(maf) + mapBytes(vb) + mapBytes(dir) +
-         mapBytes(dirTxns);
+    b += mafBytes() + vb.bytes() + dir.bytes() + mapBytes(dirTxns);
     for (const auto &[line, txn] : dirTxns)
         b += txn.pending.size() * sizeof(Msg);
     b += pendingCore.size() *
@@ -200,16 +222,17 @@ CoherentNode::denseFootprintBytes() const
         b += cache->denseFootprintBytes();
     for (const auto &z : zboxes)
         b += z->denseFootprintBytes();
-    b += mapBytes(maf) + mapBytes(vb);
-    // The pre-split directory entry carried the transaction
-    // bookkeeping inline: hot fields padded to 32 bytes plus a
-    // std::deque<Msg> whose libstdc++ constructor eagerly allocates
-    // its pointer map (64 B) and one 512 B element chunk.
+    b += mafBytes() + vb.bytes();
+    // The pre-split directory was a node-based hash map (one bucket
+    // pointer per entry at load factor 1, a link and a cached hash
+    // per node) whose entry carried the transaction bookkeeping
+    // inline: hot fields padded to 32 bytes plus a std::deque<Msg>
+    // whose libstdc++ constructor eagerly allocates its pointer map
+    // (64 B) and one 512 B element chunk.
     constexpr std::size_t fatDirEntryBytes =
         32 + sizeof(std::deque<Msg>) + 64 + 512;
-    b += dir.bucket_count() * sizeof(void *) +
-         dir.size() *
-             (sizeof(mem::Addr) + fatDirEntryBytes + 2 * sizeof(void *));
+    b += dir.size() * (sizeof(void *) + sizeof(mem::Addr) +
+                       fatDirEntryBytes + 2 * sizeof(void *));
     b += pendingCore.size() *
          sizeof(std::tuple<mem::Addr, bool, ckpt::Cont>);
     return b;
@@ -287,9 +310,8 @@ CoherentNode::spanOnRecv(const net::Packet &pkt, const Msg &m)
     if (pkt.span.phase == 1) {
         // Response at the requester: keep accumulating Reply until
         // the fill completes; the span waits on the MAF entry.
-        auto it = maf.find(m.line);
-        if (it != maf.end())
-            it->second.span = pkt.span;
+        if (int slot = mafSlotOf(m.line); slot >= 0)
+            mafSlots[std::size_t(slot)].span = pkt.span;
         return;
     }
     // Request or forward arriving at the node that will service it:
@@ -418,9 +440,8 @@ CoherentNode::memAccess(mem::Addr a, bool write, ckpt::Cont done)
 
     st.misses += 1;
 
-    auto it = maf.find(line);
-    if (it != maf.end()) {
-        MafEntry &entry = it->second;
+    if (int slot = mafSlotOf(line); slot >= 0) {
+        MafEntry &entry = mafSlots[std::size_t(slot)];
         if (write && !entry.write) {
             // A write cannot merge into a read miss whose request is
             // already on the wire; retry once the read fill lands.
@@ -433,22 +454,50 @@ CoherentNode::memAccess(mem::Addr a, bool write, ckpt::Cont done)
         return;
     }
 
-    if (static_cast<int>(maf.size()) >= cfg.mafEntries) {
+    if (mafCount >= cfg.mafEntries) {
         pendingCore.emplace_back(line, write, std::move(done));
         return;
     }
     startMiss(line, write, std::move(done));
 }
 
+CoherentNode::MafEntry &
+CoherentNode::mafAlloc(mem::Addr line)
+{
+    std::size_t i = 0;
+    while (i < mafLines.size() && mafLines[i] != noLine)
+        ++i;
+    if (i == mafLines.size()) {
+        gs_assert(static_cast<int>(i) < cfg.mafEntries, "MAF overflow");
+        mafLines.push_back(noLine);
+        mafSlots.emplace_back();
+    }
+    mafLines[i] = line;
+    mafCount += 1;
+    // Reset in place: the vectors keep their capacity.
+    MafEntry &e = mafSlots[i];
+    e.write = false;
+    e.dataArrived = false;
+    e.invalWhilePending = false;
+    e.fillState = mem::LineState::Shared;
+    e.acksNeeded = -1;
+    e.acksGot = 0;
+    e.issued = 0;
+    e.span = trace::SpanState{};
+    e.waiters.clear();
+    e.deferredFwds.clear();
+    e.retries.clear();
+    return e;
+}
+
 void
 CoherentNode::startMiss(mem::Addr line, bool write, ckpt::Cont done)
 {
-    MafEntry entry;
+    MafEntry &entry = mafAlloc(line);
     entry.write = write;
     entry.issued = ctx.now();
     if (done)
         entry.waiters.push_back(std::move(done));
-    maf.emplace(line, std::move(entry));
 
     if (spans_) {
         if (std::uint64_t sid = spans_->sampleMiss(self)) {
@@ -471,10 +520,9 @@ CoherentNode::startMiss(mem::Addr line, bool write, ckpt::Cont done)
 void
 CoherentNode::handleResponse(const Msg &m)
 {
-    auto it = maf.find(m.line);
-    gs_assert(it != maf.end(), "response without MAF entry, node ",
-              self);
-    MafEntry &entry = it->second;
+    const int slot = mafSlotOf(m.line);
+    gs_assert(slot >= 0, "response without MAF entry, node ", self);
+    MafEntry &entry = mafSlots[std::size_t(slot)];
 
     switch (m.type) {
       case MsgType::BlkShared:
@@ -494,79 +542,102 @@ CoherentNode::handleResponse(const Msg &m)
     }
     entry.acksNeeded = static_cast<int>(m.aux);
     entry.dataArrived = true;
-    tryComplete(m.line);
+    tryComplete(std::size_t(slot));
 }
 
 void
 CoherentNode::handleInvalAck(const Msg &m)
 {
-    auto it = maf.find(m.line);
-    gs_assert(it != maf.end(), "InvalAck without MAF entry");
-    it->second.acksGot += 1;
-    tryComplete(m.line);
+    const int slot = mafSlotOf(m.line);
+    gs_assert(slot >= 0, "InvalAck without MAF entry");
+    mafSlots[std::size_t(slot)].acksGot += 1;
+    tryComplete(std::size_t(slot));
 }
 
 void
-CoherentNode::tryComplete(mem::Addr line)
+CoherentNode::tryComplete(std::size_t slot)
 {
-    auto it = maf.find(line);
-    gs_assert(it != maf.end());
-    MafEntry &entry = it->second;
+    const MafEntry &entry = mafSlots[slot];
     if (!entry.dataArrived || entry.acksNeeded < 0 ||
         entry.acksGot < entry.acksNeeded)
         return;
 
-    finishFill(line);
+    finishFill(slot);
 }
 
 void
-CoherentNode::finishFill(mem::Addr line)
+CoherentNode::finishFill(std::size_t slot)
 {
-    auto it = maf.find(line);
-    gs_assert(it != maf.end());
-    MafEntry entry = std::move(it->second);
-    maf.erase(it);
+    // Retire the entry first (retries below may re-miss on the same
+    // line), handing its vectors to the fill batch and the scratch
+    // buffers by swap so every vector keeps its capacity.
+    const mem::Addr line = mafLines[slot];
+    MafEntry &entry = mafSlots[slot];
+    const bool write = entry.write;
+    const bool invalWhilePending = entry.invalWhilePending;
+    const mem::LineState fillState = entry.fillState;
+    const Tick issued = entry.issued;
+    trace::SpanState span = entry.span;
+    std::size_t batch = fillBatches.size();
+    if (!entry.waiters.empty()) {
+        batch = 0;
+        while (batch < fillBatches.size() && fillBatches[batch].live)
+            ++batch;
+        if (batch == fillBatches.size())
+            fillBatches.emplace_back();
+        fillBatches[batch].live = true;
+        fillBatches[batch].id = nextFillBatch++;
+        // mafSlots is not resized here, so entry stays valid.
+        fillBatches[batch].waiters.swap(entry.waiters);
+    }
+    fwdScratch.swap(entry.deferredFwds);
+    retryScratch.swap(entry.retries);
+    mafLines[slot] = noLine;
+    mafCount -= 1;
 
-    st.missLatencyNs.sample(ticksToNs(ctx.now() - entry.issued));
+    st.missLatencyNs.sample(ticksToNs(ctx.now() - issued));
 
-    if (spans_ && entry.span.id != 0) {
+    if (spans_ && span.id != 0) {
         // Close the Reply stage at the same instant missLatencyNs
         // samples, so a span's stage sum equals the measured
         // end-to-end miss latency exactly.
-        entry.span.advance(ctx.now(), trace::Reply);
-        spans_->complete(self, entry.span, ctx.now());
+        span.advance(ctx.now(), trace::Reply);
+        spans_->complete(self, span, ctx.now());
     }
 
-    if (entry.invalWhilePending && !entry.write) {
+    if (invalWhilePending && !write) {
         // The line was invalidated under us (response/forward class
         // reordering). Complete the waiting accesses with the data
         // but do not retain the line.
     } else if (cache->contains(line)) {
         // Write upgrade: the Shared copy is still resident.
-        cache->setState(line, entry.fillState);
+        cache->setState(line, fillState);
     } else {
-        mem::Victim victim = cache->fill(line, entry.fillState);
+        mem::Victim victim = cache->fill(line, fillState);
         evictIfNeeded(victim);
     }
 
-    if (!entry.waiters.empty()) {
+    if (batch < fillBatches.size()) {
         // Park the waiters in fillBatches rather than capturing them
         // in the event: the batch id in the event's desc is all a
         // snapshot needs to re-attach the (serializable) group.
-        const std::uint64_t id = nextFillBatch++;
-        fillBatches.emplace(id, std::move(entry.waiters));
+        const std::uint64_t id = fillBatches[batch].id;
         ctx.queue().schedule(
             nsToTicks(cfg.fillOverheadNs),
             cohDesc(ckpt::CohFillBatch, self, 0, 0, 0, id),
             [this, id] { runFillBatch(id); });
     }
 
-    // Forwards that raced with the miss can be serviced now.
-    for (const auto &pkt : entry.deferredFwds)
+    // Forwards that raced with the miss can be serviced now. Neither
+    // loop can re-enter finishFill (both only send or schedule), so
+    // the scratch buffers are not reused underneath them.
+    for (const auto &pkt : fwdScratch)
         handleForward(pkt);
+    fwdScratch.clear();
 
-    for (auto &[write, done] : entry.retries)
-        memAccess(line, write, std::move(done));
+    for (auto &[rwrite, done] : retryScratch)
+        memAccess(line, rwrite, std::move(done));
+    retryScratch.clear();
 
     pumpPendingCore();
 }
@@ -574,12 +645,17 @@ CoherentNode::finishFill(mem::Addr line)
 void
 CoherentNode::runFillBatch(std::uint64_t id)
 {
-    auto it = fillBatches.find(id);
-    gs_assert(it != fillBatches.end(), "fill batch ", id, " vanished");
-    std::vector<ckpt::Cont> waiters = std::move(it->second);
-    fillBatches.erase(it);
-    for (const auto &w : waiters)
-        w();
+    std::size_t b = 0;
+    while (b < fillBatches.size() &&
+           !(fillBatches[b].live && fillBatches[b].id == id))
+        ++b;
+    gs_assert(b < fillBatches.size(), "fill batch ", id, " vanished");
+    // Index on every call: a waiter may issue new accesses, and the
+    // slot stays live (unclaimable) until its group has run.
+    for (std::size_t w = 0; w < fillBatches[b].waiters.size(); ++w)
+        fillBatches[b].waiters[w]();
+    fillBatches[b].waiters.clear();
+    fillBatches[b].live = false;
 }
 
 void
@@ -593,7 +669,8 @@ CoherentNode::evictIfNeeded(const mem::Victim &victim)
         return; // silent eviction; the directory may keep a stale bit
 
     st.victimsSent += 1;
-    vb.emplace(victim.line, VictimEntry{victim.dirty()});
+    if (auto [v, inserted] = vb.insert(victim.line); inserted)
+        v->dirty = victim.dirty();
     st.vbHighWater = std::max(st.vbHighWater,
                               static_cast<std::uint64_t>(vb.size()));
     NodeId home = map.home(victim.line).node;
@@ -606,10 +683,11 @@ CoherentNode::handleForward(const net::Packet &pkt)
 {
     Msg m = decode(pkt);
     mem::Addr line = m.line;
+    const VictimEntry *victim = vb.find(line);
 
-    if (auto it = maf.find(line); it != maf.end()) {
+    if (int slot = mafSlotOf(line); slot >= 0) {
         if (m.type == MsgType::Inval) {
-            it->second.invalWhilePending = true;
+            mafSlots[std::size_t(slot)].invalWhilePending = true;
             if (cache->state(line) == mem::LineState::Shared) {
                 cache->invalidate(line);
                 if (backInval)
@@ -628,8 +706,8 @@ CoherentNode::handleForward(const net::Packet &pkt)
         // deadlock the home against our queued request. Without a
         // VB entry the forward targets the fill still in flight to
         // us, so it waits for that fill.
-        if (!vb.count(line)) {
-            it->second.deferredFwds.push_back(pkt);
+        if (!victim) {
+            mafSlots[std::size_t(slot)].deferredFwds.push_back(pkt);
             return;
         }
     }
@@ -666,14 +744,14 @@ CoherentNode::handleForward(const net::Packet &pkt)
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs, MsgType::FwdAckClean, home,
                       line, m.requester, /*retains=*/1);
-        } else if (auto vit = vb.find(line); vit != vb.end()) {
+        } else if (victim) {
             // Serve from the victim buffer; the entry stays until
             // VictimAck but we no longer cache the line.
             sendAfter(cfg.fwdServiceNs, MsgType::BlkDirty, m.requester,
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs,
-                      vit->second.dirty ? MsgType::WBShared
-                                        : MsgType::FwdAckClean,
+                      victim->dirty ? MsgType::WBShared
+                                    : MsgType::FwdAckClean,
                       home, line, m.requester, /*retains=*/0);
         } else {
             gs_panic("FwdRd found no data at node ", self, " line ",
@@ -692,7 +770,7 @@ CoherentNode::handleForward(const net::Packet &pkt)
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs, MsgType::FwdAckTransfer, home,
                       line, m.requester);
-        } else if (vb.count(line)) {
+        } else if (victim) {
             sendAfter(cfg.fwdServiceNs, MsgType::BlkDirty, m.requester,
                       line, m.requester);
             sendAfter(cfg.fwdServiceNs, MsgType::FwdAckTransfer, home,
@@ -711,16 +789,14 @@ CoherentNode::handleForward(const net::Packet &pkt)
 void
 CoherentNode::handleVictimAck(const Msg &m)
 {
-    auto it = vb.find(m.line);
-    gs_assert(it != vb.end(), "VictimAck without victim buffer");
-    vb.erase(it);
+    const bool found = vb.erase(m.line);
+    gs_assert(found, "VictimAck without victim buffer");
 }
 
 void
 CoherentNode::pumpPendingCore()
 {
-    while (!pendingCore.empty() &&
-           static_cast<int>(maf.size()) < cfg.mafEntries) {
+    while (!pendingCore.empty() && mafCount < cfg.mafEntries) {
         auto [line, write, done] = std::move(pendingCore.front());
         pendingCore.pop_front();
         memAccess(line, write, std::move(done));
@@ -742,37 +818,54 @@ CoherentNode::zboxFor(mem::Addr line)
 }
 
 void
-CoherentNode::homeDispatch(const Msg &m)
+CoherentNode::beginBusy(DirEntry &e)
 {
-    DirEntry &entry = dir[m.line];
+    e.state = DirState::Busy;
+    busyLines += 1;
+}
 
-    if (entry.state == DirState::Busy) {
-        dirTxns[m.line].pending.push_back(m);
-        return;
-    }
-    // An owner re-requesting its own line means its victim message
-    // is still in flight; hold the request until the victim lands.
-    if ((m.type == MsgType::RdReq || m.type == MsgType::RdModReq) &&
-        entry.state == DirState::Exclusive &&
-        entry.owner == m.requester) {
-        dirTxns[m.line].pending.push_back(m);
-        return;
-    }
-    homeProcess(m);
+CoherentNode::DirEntry &
+CoherentNode::endBusy(mem::Addr line)
+{
+    DirEntry *e = dir.find(line);
+    gs_assert(e && e->state == DirState::Busy,
+              "home transaction completed on a line that is not Busy");
+    busyLines -= 1;
+    return *e;
 }
 
 void
-CoherentNode::homeProcess(const Msg &m)
+CoherentNode::homeDispatch(const Msg &m)
 {
-    DirEntry &entry = dir[m.line];
+    DirEntry *e = dir.find(m.line);
+
+    // A Busy line queues. So does an owner re-requesting its own
+    // line: its victim message is still in flight, and the request
+    // must wait until the victim lands.
+    if (e && (e->state == DirState::Busy ||
+              ((m.type == MsgType::RdReq || m.type == MsgType::RdModReq) &&
+               e->state == DirState::Exclusive &&
+               e->owner == m.requester))) {
+        dirTxns[m.line].pending.push_back(m);
+        queuedHome += 1;
+        return;
+    }
+    homeProcess(m, e);
+}
+
+void
+CoherentNode::homeProcess(const Msg &m, DirEntry *e)
+{
     const mem::Addr line = m.line;
     const NodeId req = m.requester;
 
     switch (m.type) {
       case MsgType::RdReq:
       case MsgType::RdModReq:
-        if (entry.state == DirState::Invalid) {
-            entry.state = DirState::Busy;
+        if (!e)
+            e = dir.insert(line).first;
+        if (e->state == DirState::Invalid) {
+            beginBusy(*e);
             zboxReadSpan(
                 line, req,
                 ckpt::Cont(cohDesc(ckpt::CohHomeReadExcl, self, req, 0,
@@ -780,8 +873,8 @@ CoherentNode::homeProcess(const Msg &m)
                            [this, line, req] {
                                scheduleHomeExcl(line, req);
                            }));
-        } else if (entry.state == DirState::Shared) {
-            entry.state = DirState::Busy;
+        } else if (e->state == DirState::Shared) {
+            beginBusy(*e);
             bool mod = m.type == MsgType::RdModReq;
             zboxReadSpan(
                 line, req,
@@ -791,13 +884,13 @@ CoherentNode::homeProcess(const Msg &m)
                                scheduleHomeShared(line, req, mod);
                            }));
         } else { // Exclusive at a third party: forward.
-            gs_assert(entry.owner != req, "owner re-request reached "
-                                          "homeProcess");
+            gs_assert(e->owner != req, "owner re-request reached "
+                                       "homeProcess");
             DirTxn &txn = dirTxns[line];
             txn.requester = req;
             txn.type = m.type;
-            NodeId owner = entry.owner;
-            entry.state = DirState::Busy;
+            NodeId owner = e->owner;
+            beginBusy(*e);
             sendAfter(cfg.homeOverheadNs,
                       m.type == MsgType::RdReq ? MsgType::FwdRd
                                                : MsgType::FwdRdMod,
@@ -807,8 +900,8 @@ CoherentNode::homeProcess(const Msg &m)
 
       case MsgType::VictimWB:
       case MsgType::VictimClean:
-        if (entry.state == DirState::Exclusive && entry.owner == req) {
-            entry.state = DirState::Busy;
+        if (e && e->state == DirState::Exclusive && e->owner == req) {
+            beginBusy(*e);
             bool dirty = m.type == MsgType::VictimWB;
             if (dirty)
                 zboxFor(line).write(line);
@@ -843,12 +936,12 @@ CoherentNode::scheduleHomeExcl(mem::Addr line, NodeId req)
 void
 CoherentNode::applyHomeExcl(mem::Addr line, NodeId req)
 {
-    DirEntry &e = dir[line];
+    DirEntry &e = endBusy(line);
     e.state = DirState::Exclusive;
     e.owner = req;
     e.sharers = 0;
     send(MsgType::BlkExclusive, req, line, req, 0);
-    finishTxn(line);
+    finishTxn(line, e);
 }
 
 void
@@ -901,7 +994,7 @@ CoherentNode::sendInvals(std::uint64_t sharers, mem::Addr line,
 void
 CoherentNode::applyHomeShared(mem::Addr line, NodeId req, bool mod)
 {
-    DirEntry &e = dir[line];
+    DirEntry &e = endBusy(line);
     if (!mod) {
         e.sharers |= sharerBit(req);
         e.state = DirState::Shared;
@@ -914,45 +1007,45 @@ CoherentNode::applyHomeShared(mem::Addr line, NodeId req, bool mod)
         send(MsgType::BlkExclusive, req, line, req,
              static_cast<std::uint32_t>(count));
     }
-    finishTxn(line);
+    finishTxn(line, e);
 }
 
 void
 CoherentNode::applyHomeVictim(mem::Addr line, NodeId req)
 {
-    DirEntry &e = dir[line];
+    DirEntry &e = endBusy(line);
     e.state = DirState::Invalid;
     e.owner = invalidNode;
     e.sharers = 0;
     send(MsgType::VictimAck, req, line, req);
-    finishTxn(line);
+    finishTxn(line, e);
 }
 
 void
 CoherentNode::applyHomeDowngrade(mem::Addr line, std::uint64_t sharers)
 {
-    DirEntry &e = dir[line];
+    DirEntry &e = endBusy(line);
     e.state = DirState::Shared;
     e.sharers = sharers;
     e.owner = invalidNode;
-    finishTxn(line);
+    finishTxn(line, e);
 }
 
 void
 CoherentNode::applyHomeTransfer(mem::Addr line, NodeId req)
 {
-    DirEntry &e = dir[line];
+    DirEntry &e = endBusy(line);
     e.state = DirState::Exclusive;
     e.owner = req;
     e.sharers = 0;
-    finishTxn(line);
+    finishTxn(line, e);
 }
 
 void
 CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
 {
-    auto it = dir.find(m.line);
-    gs_assert(it != dir.end() && it->second.state == DirState::Busy,
+    const DirEntry *e = dir.find(m.line);
+    gs_assert(e && e->state == DirState::Busy,
               "owner reply without busy transaction");
     auto tit = dirTxns.find(m.line);
     gs_assert(tit != dirTxns.end(),
@@ -992,23 +1085,34 @@ CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
 }
 
 void
-CoherentNode::finishTxn(mem::Addr line)
+CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
 {
-    gs_assert(dir[line].state != DirState::Busy,
+    // e stays valid throughout: re-dispatching this line's requests
+    // neither inserts nor erases directory entries.
+    gs_assert(e.state != DirState::Busy,
               "finishTxn before the final state was applied");
+
+    auto tit = dirTxns.find(line);
+    if (tit == dirTxns.end()) {
+        // Nothing queued. Drop an Invalid entry from the table — the
+        // directory tracks the lines a home currently holds, not
+        // every line it ever served.
+        if (e.state == DirState::Invalid)
+            dir.erase(line);
+        return;
+    }
 
     // Re-dispatch each queued message at most once: a message may
     // defer itself again (owner re-request waiting for its victim),
     // in which case it lands back in the entry's pending queue and
     // must not spin here.
-    std::deque<Msg> work;
-    if (auto tit = dirTxns.find(line); tit != dirTxns.end())
-        work = std::move(tit->second.pending);
+    std::deque<Msg> work = std::move(tit->second.pending);
+    queuedHome -= work.size();
     while (!work.empty()) {
         Msg m = work.front();
         work.pop_front();
         homeDispatch(m);
-        if (dir[line].state == DirState::Busy)
+        if (e.state == DirState::Busy)
             break;
     }
     // Anything not processed keeps its order ahead of new deferrals.
@@ -1016,20 +1120,19 @@ CoherentNode::finishTxn(mem::Addr line)
         auto &pending = dirTxns[line].pending;
         for (auto it = work.rbegin(); it != work.rend(); ++it)
             pending.push_front(*it);
+        queuedHome += work.size();
     }
 
     // Reclaim the side-table record once the line has no in-flight
-    // transaction and nothing queued, and drop Invalid entries from
-    // the hot table entirely — the directory's footprint tracks the
-    // lines a home *currently* tracks, not every line it ever saw.
-    if (auto tit = dirTxns.find(line);
-        tit != dirTxns.end() && tit->second.pending.empty() &&
-        dir[line].state != DirState::Busy)
+    // transaction and nothing queued, then drop an Invalid entry.
+    tit = dirTxns.find(line);
+    if (tit != dirTxns.end() && tit->second.pending.empty() &&
+        e.state != DirState::Busy) {
         dirTxns.erase(tit);
-    if (auto dit = dir.find(line);
-        dit != dir.end() && dit->second.state == DirState::Invalid &&
-        dirTxns.find(line) == dirTxns.end())
-        dir.erase(dit);
+        tit = dirTxns.end();
+    }
+    if (e.state == DirState::Invalid && tit == dirTxns.end())
+        dir.erase(line);
 }
 
 // ---------------------------------------------------------------------
@@ -1039,17 +1142,27 @@ CoherentNode::finishTxn(mem::Addr line)
 namespace
 {
 
-/** Deterministic iteration order over an unordered_map's keys. */
-template <typename M>
-std::vector<typename M::key_type>
-sortedKeys(const M &m)
+/** A LineTable's lines in ascending order (deterministic saves). */
+template <typename V>
+std::vector<mem::Addr>
+sortedLines(const LineTable<V> &t)
 {
-    std::vector<typename M::key_type> keys;
-    keys.reserve(m.size());
-    for (const auto &kv : m)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    std::vector<mem::Addr> lines;
+    lines.reserve(t.size());
+    t.forEach([&lines](mem::Addr line, const V &) {
+        lines.push_back(line);
+    });
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+std::string
+hexLine(mem::Addr line)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%llx",
+                  static_cast<unsigned long long>(line));
+    return buf;
 }
 
 void
@@ -1099,9 +1212,14 @@ CoherentNode::saveCkpt(ckpt::Serializer &s) const
     for (const auto &z : zboxes)
         z->saveCkpt(s);
 
-    s.put32(static_cast<std::uint32_t>(maf.size()));
-    for (mem::Addr line : sortedKeys(maf)) {
-        const MafEntry &e = maf.at(line);
+    std::vector<std::pair<mem::Addr, std::size_t>> mafOrder;
+    for (std::size_t i = 0; i < mafLines.size(); ++i)
+        if (mafLines[i] != noLine)
+            mafOrder.emplace_back(mafLines[i], i);
+    std::sort(mafOrder.begin(), mafOrder.end());
+    s.put32(static_cast<std::uint32_t>(mafOrder.size()));
+    for (const auto &[line, slot] : mafOrder) {
+        const MafEntry &e = mafSlots[slot];
         s.put64(line);
         s.putBool(e.write);
         s.putBool(e.dataArrived);
@@ -1125,14 +1243,14 @@ CoherentNode::saveCkpt(ckpt::Serializer &s) const
     }
 
     s.put32(static_cast<std::uint32_t>(vb.size()));
-    for (mem::Addr line : sortedKeys(vb)) {
+    for (mem::Addr line : sortedLines(vb)) {
         s.put64(line);
-        s.putBool(vb.at(line).dirty);
+        s.putBool(vb.find(line)->dirty);
     }
 
     s.put32(static_cast<std::uint32_t>(dir.size()));
-    for (mem::Addr line : sortedKeys(dir)) {
-        const DirEntry &e = dir.at(line);
+    for (mem::Addr line : sortedLines(dir)) {
+        const DirEntry &e = *dir.find(line);
         s.put64(line);
         s.put8(static_cast<std::uint8_t>(e.state));
         s.put64(e.sharers);
@@ -1163,11 +1281,16 @@ CoherentNode::saveCkpt(ckpt::Serializer &s) const
         ckpt::saveCont(s, done, "a throttled core access");
     }
 
-    s.put32(static_cast<std::uint32_t>(fillBatches.size()));
-    for (const auto &[id, waiters] : fillBatches) {
+    std::vector<std::pair<std::uint64_t, std::size_t>> batchOrder;
+    for (std::size_t b = 0; b < fillBatches.size(); ++b)
+        if (fillBatches[b].live)
+            batchOrder.emplace_back(fillBatches[b].id, b);
+    std::sort(batchOrder.begin(), batchOrder.end());
+    s.put32(static_cast<std::uint32_t>(batchOrder.size()));
+    for (const auto &[id, b] : batchOrder) {
         s.put64(id);
-        s.put32(static_cast<std::uint32_t>(waiters.size()));
-        for (const ckpt::Cont &w : waiters)
+        s.put32(static_cast<std::uint32_t>(fillBatches[b].waiters.size()));
+        for (const ckpt::Cont &w : fillBatches[b].waiters)
             ckpt::saveCont(s, w, "a fill-batch waiter");
     }
     s.put64(nextFillBatch);
@@ -1215,11 +1338,23 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     for (auto &z : zboxes)
         z->restoreCkpt(d);
 
-    maf.clear();
+    const std::string where = "snapshot node " + std::to_string(self);
+    std::fill(mafLines.begin(), mafLines.end(), noLine);
+    mafCount = 0;
     std::uint32_t nMaf = d.get32();
+    if (nMaf > static_cast<std::uint32_t>(cfg.mafEntries) && d.ok()) {
+        d.fail(where + " MAF section holds " + std::to_string(nMaf) +
+               " entries, more than the " +
+               std::to_string(cfg.mafEntries) + " MAF slots");
+        return;
+    }
     for (std::uint32_t i = 0; i < nMaf && d.ok(); ++i) {
         mem::Addr line = d.get64();
-        MafEntry e;
+        if (mafSlotOf(line) >= 0) {
+            d.fail(where + " MAF section repeats line " + hexLine(line));
+            return;
+        }
+        MafEntry &e = mafAlloc(line);
         e.write = d.getBool();
         e.dataArrived = d.getBool();
         e.invalWhilePending = d.getBool();
@@ -1244,18 +1379,26 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
             e.retries.emplace_back(
                 write, ckpt::restoreCont(d, rehydrate, "a MAF retry"));
         }
-        maf.emplace(line, std::move(e));
     }
 
     vb.clear();
     std::uint32_t nVb = d.get32();
     for (std::uint32_t i = 0; i < nVb && d.ok(); ++i) {
         mem::Addr line = d.get64();
-        vb.emplace(line, VictimEntry{d.getBool()});
+        const bool dirty = d.getBool();
+        auto [v, inserted] = vb.insert(line);
+        if (!inserted) {
+            d.fail(where + " victim-buffer section repeats line " +
+                   hexLine(line));
+            return;
+        }
+        v->dirty = dirty;
     }
 
     dir.clear();
     dirTxns.clear();
+    busyLines = 0;
+    queuedHome = 0;
     std::uint32_t nDir = d.get32();
     for (std::uint32_t i = 0; i < nDir && d.ok(); ++i) {
         mem::Addr line = d.get64();
@@ -1266,15 +1409,23 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
         const NodeId txnReq = d.getI32();
         const auto txnType = static_cast<MsgType>(d.get8());
         std::uint32_t np = d.get32();
+        auto [slot, inserted] = dir.insert(line);
+        if (!inserted) {
+            d.fail(where + " directory section repeats line " +
+                   hexLine(line));
+            return;
+        }
+        *slot = e;
+        busyLines += e.state == DirState::Busy ? 1 : 0;
         if (txnReq != invalidNode || np > 0) {
             DirTxn txn;
             txn.requester = txnReq;
             txn.type = txnType;
             for (std::uint32_t p = 0; p < np && d.ok(); ++p)
                 txn.pending.push_back(restoreMsg(d));
+            queuedHome += txn.pending.size();
             dirTxns.emplace(line, std::move(txn));
         }
-        dir.emplace(line, e);
     }
 
     pendingCore.clear();
@@ -1287,16 +1438,21 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
             ckpt::restoreCont(d, rehydrate, "a throttled core access"));
     }
 
-    fillBatches.clear();
+    for (FillBatch &b : fillBatches) {
+        b.live = false;
+        b.waiters.clear();
+    }
     std::uint32_t nBatch = d.get32();
     for (std::uint32_t i = 0; i < nBatch && d.ok(); ++i) {
-        std::uint64_t id = d.get64();
-        std::vector<ckpt::Cont> waiters;
+        if (i == fillBatches.size())
+            fillBatches.emplace_back();
+        FillBatch &b = fillBatches[i];
+        b.id = d.get64();
+        b.live = true;
         std::uint32_t nw = d.get32();
         for (std::uint32_t w = 0; w < nw && d.ok(); ++w)
-            waiters.push_back(
+            b.waiters.push_back(
                 ckpt::restoreCont(d, rehydrate, "a fill-batch waiter"));
-        fillBatches.emplace(id, std::move(waiters));
     }
     nextFillBatch = d.get64();
     ioReceived = d.get64();

@@ -17,6 +17,13 @@
  * and later requests queue. Sharers may evict silently; exclusive
  * owners never do (VictimClean), so a forward always finds its data.
  *
+ * Host layout. The MAF is a bounded array of cfg.mafEntries slots
+ * searched by line, like the hardware's; the victim buffer and the
+ * directory are flat open-addressed LineTables (line_table.hh) that
+ * hold only lines currently tracked (Invalid directory entries are
+ * erased). Slots, their vectors and the fill-batch groups are reused,
+ * so a miss in steady state allocates nothing on the heap.
+ *
  * Known benign race: a response and a later invalidation to the same
  * line may arrive out of order (different packet classes). The MAF
  * notes an invalidation seen while the miss was pending and the fill
@@ -35,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "coherence/line_table.hh"
 #include "coherence/messages.hh"
 #include "mem/address.hh"
 #include "mem/cache.hh"
@@ -154,9 +162,20 @@ class CoherentNode
     void registerTelemetry(telem::Registry &reg,
                            const std::string &prefix);
 
-    int outstandingMisses() const { return static_cast<int>(maf.size()); }
+    int outstandingMisses() const { return mafCount; }
     int victimBufferFill() const { return static_cast<int>(vb.size()); }
+
+    /**
+     * No outstanding miss, victim, throttled access, Busy line or
+     * queued home request. O(1): Busy lines and queued requests are
+     * counted where they change (the engine asks on every step once
+     * the cores finish).
+     */
     bool quiesced() const;
+
+    /** quiesced() recomputed by scanning every table; the coherence
+     *  checker holds the counters to it. */
+    bool quiescedByScan() const;
 
     /**
      * Issue time of the oldest outstanding miss, or maxTick when no
@@ -168,9 +187,9 @@ class CoherentNode
     oldestMissIssued() const
     {
         Tick oldest = maxTick;
-        for (const auto &ent : maf)
-            oldest = ent.second.issued < oldest ? ent.second.issued
-                                                : oldest;
+        for (std::size_t i = 0; i < mafLines.size(); ++i)
+            if (mafLines[i] != noLine && mafSlots[i].issued < oldest)
+                oldest = mafSlots[i].issued;
         return oldest;
     }
 
@@ -188,8 +207,9 @@ class CoherentNode
     /**
      * Bytes of protocol + memory-model state this node holds right
      * now (MAF, victim buffers, directory incl. side tables, cache
-     * tags, Zbox banks). Heap sizes of the hash tables are estimated
-     * from bucket and element counts.
+     * tags, Zbox banks). The flat tables count their allocated slots;
+     * the transaction side map is estimated from bucket and element
+     * counts.
      */
     std::size_t footprintBytes() const;
 
@@ -269,8 +289,16 @@ class CoherentNode
         Tick issued = 0;
         trace::SpanState span; ///< x-ray span (reply path; id 0 = off)
         std::vector<ckpt::Cont> waiters;
-        std::deque<net::Packet> deferredFwds;
+        std::vector<net::Packet> deferredFwds;
         std::vector<std::pair<bool, ckpt::Cont>> retries;
+    };
+
+    /** A parked group of fill-completion waiters (slot reused). */
+    struct FillBatch
+    {
+        std::uint64_t id = 0;
+        bool live = false;
+        std::vector<ckpt::Cont> waiters;
     };
 
     /** A line held between eviction and VictimAck. */
@@ -282,10 +310,10 @@ class CoherentNode
     /**
      * Home-side directory entry: the hot state only. The dominant
      * machine-wide footprint at 1024P+ is this table, so the entry
-     * is packed to 16 bytes; the transaction bookkeeping a line only
-     * carries while a forward/inval is in flight (requester, type,
-     * queued requests) lives in the dirTxns side table and is erased
-     * when the transaction drains.
+     * is packed to 16 bytes (a 24-byte slot in dir); the transaction
+     * bookkeeping a line only carries while a forward/inval is in
+     * flight (requester, type, queued requests) lives in the dirTxns
+     * side table and is erased when the transaction drains.
      */
     struct DirEntry
     {
@@ -321,11 +349,24 @@ class CoherentNode
     void spanDramDone(mem::Addr line, NodeId req);
 
     // -- cache side -------------------------------------------------
+    /** MAF slot holding @p line, or -1. */
+    int
+    mafSlotOf(mem::Addr line) const
+    {
+        for (std::size_t i = 0; i < mafLines.size(); ++i)
+            if (mafLines[i] == line)
+                return static_cast<int>(i);
+        return -1;
+    }
+    /** Claim a free MAF slot for @p line, reset to a fresh entry. */
+    MafEntry &mafAlloc(mem::Addr line);
+    /** Heap bytes of the MAF slots and the fill-batch groups. */
+    std::size_t mafBytes() const;
     void startMiss(mem::Addr line, bool write, ckpt::Cont done);
     void handleResponse(const Msg &m);
     void handleInvalAck(const Msg &m);
-    void tryComplete(mem::Addr line);
-    void finishFill(mem::Addr line);
+    void tryComplete(std::size_t slot);
+    void finishFill(std::size_t slot);
     void runFillBatch(std::uint64_t id);
     void evictIfNeeded(const mem::Victim &victim);
     void handleForward(const net::Packet &pkt);
@@ -349,9 +390,16 @@ class CoherentNode
     int sendInvals(std::uint64_t sharers, mem::Addr line, NodeId req);
 
     void homeDispatch(const Msg &m);
-    void homeProcess(const Msg &m);
+    /** @p e is the line's entry, or null when it has none. */
+    void homeProcess(const Msg &m, DirEntry *e);
     void homeOwnerReply(const Msg &m, NodeId from);
-    void finishTxn(mem::Addr line);
+    /** Mark @p e Busy (counted for quiesced()). */
+    void beginBusy(DirEntry &e);
+    /** The Busy entry of @p line, uncounted; its caller sets the
+     *  final state. */
+    DirEntry &endBusy(mem::Addr line);
+    /** Drain queued requests after @p e left Busy; may erase @p e. */
+    void finishTxn(mem::Addr line, DirEntry &e);
     mem::Zbox &zboxFor(mem::Addr line);
 
     // Home transaction bodies, factored out of homeProcess /
@@ -377,10 +425,26 @@ class CoherentNode
     std::unique_ptr<mem::Cache> cache;
     std::vector<std::unique_ptr<mem::Zbox>> zboxes;
 
-    std::unordered_map<mem::Addr, MafEntry> maf;
-    std::unordered_map<mem::Addr, VictimEntry> vb;
-    std::unordered_map<mem::Addr, DirEntry> dir;
+    /**
+     * The Miss Address File: slot i holds mafSlots[i] for line
+     * mafLines[i] (noLine when free). At most cfg.mafEntries slots,
+     * created on first use and never freed, so a reused slot keeps
+     * its vectors' capacity; lookups scan the compact key array.
+     */
+    std::vector<mem::Addr> mafLines;
+    std::vector<MafEntry> mafSlots;
+    int mafCount = 0;
+
+    LineTable<VictimEntry> vb;
+    LineTable<DirEntry> dir;
     std::unordered_map<mem::Addr, DirTxn> dirTxns;
+    std::size_t busyLines = 0;  ///< dir entries in state Busy
+    std::size_t queuedHome = 0; ///< requests queued in dirTxns
+
+    /** finishFill's hand-off buffers for a retired entry's deferred
+     *  forwards and retries (swapped, so capacity circulates). */
+    std::vector<net::Packet> fwdScratch;
+    std::vector<std::pair<bool, ckpt::Cont>> retryScratch;
 
     /**
      * X-ray spans parked while this node holds their transaction
@@ -397,10 +461,11 @@ class CoherentNode
 
     /**
      * Fill-completion waiter groups parked while their one
-     * fillOverheadNs event is pending (keyed by a monotonic id the
-     * event's desc carries, so snapshots can re-attach it).
+     * fillOverheadNs event is pending (found by a monotonic id the
+     * event's desc carries, so snapshots can re-attach it). Free
+     * slots (live == false) are reused with their vectors' capacity.
      */
-    std::map<std::uint64_t, std::vector<ckpt::Cont>> fillBatches;
+    std::vector<FillBatch> fillBatches;
     std::uint64_t nextFillBatch = 0;
 
     std::function<void(mem::Addr)> backInval;

@@ -120,13 +120,17 @@ restoreCont(Deserializer &d, const RehydrateFn &rehydrate,
     c.desc = d.getDesc();
     if (!d.ok())
         return c;
-    c.fn = rehydrate(c.desc);
-    if (!c.fn) {
+    // Test the recipe's std::function itself: an InlineFn wrapping
+    // an empty std::function would be truthy.
+    std::function<void()> fn = rehydrate(c.desc);
+    if (!fn) {
         d.fail(std::string("snapshot corrupt: no rehydration recipe "
                            "for ") +
                what + " (event kind " + std::to_string(c.desc.kind) +
                ")");
+        return c;
     }
+    c.fn = std::move(fn);
     return c;
 }
 

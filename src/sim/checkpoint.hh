@@ -29,6 +29,7 @@
  *    It is implicitly constructible from any callable — such a Cont
  *    is Opaque, which keeps non-checkpointed call sites compiling
  *    unchanged — and from (desc, callable) for serializable ones.
+ *    It is move-only (the callback is an InlineFn).
  */
 
 #ifndef GS_SIM_CHECKPOINT_HH
@@ -42,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/inline_fn.hh"
 #include "sim/types.hh"
 
 namespace gs::ckpt
@@ -166,10 +168,16 @@ class Cont
     Cont(const EventDesc &d, F &&f) : fn(std::forward<F>(f)), desc(d)
     {}
 
-    void operator()() const { fn(); }
+    void operator()() { fn(); }
     explicit operator bool() const { return static_cast<bool>(fn); }
 
-    std::function<void()> fn;
+    /**
+     * The callback. Move-only with 64 bytes of inline capture, so
+     * the hot continuations (core issue, home Zbox reads, fill
+     * waiters) are held and handed to the event queue without
+     * touching the heap.
+     */
+    InlineFn fn;
     EventDesc desc;
 };
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -81,9 +82,36 @@ TEST_P(CoherenceStress, RandomSharingStaysCoherent)
     for (NodeId id = 0; id < n; ++id)
         issueNext(id, prm.opsPerCpu);
 
+    // At random points of the run, the O(1) quiesced() must agree
+    // with a scan of every node's tables (MAF, victim buffer, Busy
+    // directory lines, queued home requests).
+    Rng probeRng(prm.seed * 31 + 5);
+    int probes = 0;
+    int busyProbes = 0;
+    std::function<void()> probe = [&] {
+        probes += 1;
+        bool anyBusy = false;
+        for (auto &node : nodes) {
+            ASSERT_EQ(node->quiesced(), node->quiescedByScan())
+                << "node " << node->id() << " at tick " << ctx.now();
+            anyBusy = anyBusy || !node->quiesced();
+        }
+        busyProbes += anyBusy ? 1 : 0;
+        if (completed < n * prm.opsPerCpu)
+            ctx.queue().schedule(nsToTicks(1.0 + double(probeRng.below(
+                                                     200))),
+                                 probe);
+    };
+    ctx.queue().schedule(1, probe);
+
     ctx.queue().runUntil(ctx.now() + 500 * tickMs);
     ASSERT_EQ(completed, issued) << "stress run did not drain";
     ASSERT_EQ(completed, n * prm.opsPerCpu);
+    EXPECT_GT(busyProbes, 10)
+        << "only " << busyProbes << " of " << probes
+        << " probes saw the protocol busy";
+    for (auto &node : nodes)
+        EXPECT_TRUE(node->quiesced() && node->quiescedByScan());
 
     std::vector<CoherentNode *> all;
     for (auto &node : nodes)

@@ -1,14 +1,15 @@
 /**
  * @file
- * Zero-steady-state-allocation tests for the event kernel and the
- * packet pool.
+ * Zero-steady-state-allocation tests for the event kernel, the
+ * packet pool and the coherent memory path.
  *
  * The calendar queue + InlineFn rewrite exists so that scheduling and
- * firing events allocates nothing once the structures are warm, and
- * the PacketPool so that packet flight recycles slots instead of
- * allocating. These tests pin that property with a global operator
- * new/delete override that counts every heap allocation in the
- * process. The file is its own test binary (see tests/CMakeLists.txt)
+ * firing events allocates nothing once the structures are warm, the
+ * PacketPool so that packet flight recycles slots instead of
+ * allocating, and the coherence node's flat tables and reused MAF
+ * slots so that a miss or a hit does not either. These tests pin
+ * that property with a global operator new/delete override that
+ * counts every heap allocation in the process. The file is its own test binary (see tests/CMakeLists.txt)
  * precisely because the override is global.
  *
  * Under sanitizer builds (GS_SANITIZE) the runtime intercepts the
@@ -26,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include "coherence/node.hh"
+#include "mem/address.hh"
 #include "net/network.hh"
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
@@ -309,6 +312,63 @@ TEST(AllocCount, ParallelSteadyStateAllocatesNothingPerWorker)
         EXPECT_EQ(end[std::size_t(t)] - base[std::size_t(t)], 0u)
             << "worker " << t << " allocated in steady state";
     }
+#endif
+}
+
+/**
+ * A warm coherent miss allocates nothing: on the 2-node machine of
+ * BM_CoherentLocalMiss, local read misses through MAF, directory,
+ * Zbox, victim buffer and fill batch, then L2 hits, each 1000 times.
+ */
+TEST(AllocCount, WarmCoherentPathAllocatesNothing)
+{
+    using namespace gs;
+    SimContext ctx;
+    topo::Torus2D torus(2, 1);
+    net::Network network(ctx, torus, net::NetworkParams::gs1280());
+    mem::NodeOwnedMap map;
+    coher::NodeConfig cfg;
+    coher::CoherentNode node(ctx, network, 0, map, cfg);
+    coher::CoherentNode other(ctx, network, 1, map, cfg);
+
+    int done = 0;
+    auto access = [&](mem::Addr a) {
+        node.memAccess(a, false, [&done] { done += 1; });
+        ctx.queue().runUntil();
+    };
+
+    // Cycling through twice the L2's lines misses on every access
+    // (LRU) and evicts an Exclusive line per fill. One lap warms
+    // every cache set, Zbox bank, the directory and victim tables,
+    // the packet pool and the event ring.
+    const mem::Addr lap = 2 * cfg.l2.sizeBytes;
+    mem::Addr a = 0;
+    for (; a < lap; a += mem::lineBytes)
+        access(a);
+
+    const std::uint64_t missesBefore = node.stats().misses;
+    const std::uint64_t missDelta = allocsDuring([&] {
+        for (int i = 0; i < 1000; ++i, a += mem::lineBytes)
+            access(a % lap);
+    });
+    EXPECT_EQ(node.stats().misses - missesBefore, 1000u);
+
+    // The last 1000 lines are resident: read them again.
+    const std::uint64_t hitsBefore = node.stats().l2Hits;
+    const std::uint64_t hitDelta = allocsDuring([&] {
+        for (int i = 1000; i > 0; --i)
+            access((a - mem::Addr(i) * mem::lineBytes) % lap);
+    });
+    EXPECT_EQ(node.stats().l2Hits - hitsBefore, 1000u);
+    EXPECT_EQ(done, static_cast<int>(lap / mem::lineBytes) + 2000);
+    EXPECT_TRUE(node.quiesced());
+
+#ifdef GS_SANITIZE
+    GTEST_SKIP() << "sanitizer build; counted " << missDelta << " and "
+                 << hitDelta;
+#else
+    EXPECT_EQ(missDelta, 0u) << "warm local read misses allocated";
+    EXPECT_EQ(hitDelta, 0u) << "warm L2 hits allocated";
 #endif
 }
 

@@ -3,7 +3,8 @@
  * Snapshot format tests (sim/checkpoint.hh): field round-trips,
  * section framing, and — the robustness contract — that corrupt,
  * truncated, or version-mismatched snapshots are rejected with a
- * clear error instead of being half-applied.
+ * clear error instead of being half-applied. The last group feeds a
+ * coherence node hand-built MAF / victim-buffer / directory sections.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "coherence/node.hh"
+#include "mem/address.hh"
+#include "net/network.hh"
 #include "sim/checkpoint.hh"
+#include "sim/trace_span.hh"
+#include "topology/torus.hh"
 
 namespace
 {
@@ -259,6 +265,200 @@ TEST(CheckpointFormat, ReadingPastSectionEndIsBounded)
     EXPECT_FALSE(d.ok());
     EXPECT_NE(d.error().find("past section"), std::string::npos)
         << d.error();
+}
+
+TEST(CheckpointFormat, ContWithoutRecipeFailsTheSnapshot)
+{
+    ckpt::Serializer s;
+    s.beginSection(ckpt::secCoh);
+    ckpt::EventDesc desc;
+    desc.kind = ckpt::CoreMemDone;
+    s.putDesc(desc);
+    s.putDesc(desc);
+    s.endSection();
+
+    ckpt::Deserializer d(s.buffer().data(), s.size());
+    ASSERT_TRUE(d.enterSection(ckpt::secCoh, "COHR"));
+    // A recipe that knows the kind rebuilds a callable continuation.
+    int fired = 0;
+    ckpt::Cont good = ckpt::restoreCont(
+        d, [&fired](const ckpt::EventDesc &) -> std::function<void()> {
+            return [&fired] { fired += 1; };
+        },
+        "a test waiter");
+    ASSERT_TRUE(d.ok()) << d.error();
+    ASSERT_TRUE(good);
+    good();
+    EXPECT_EQ(fired, 1);
+
+    // One that returns an empty std::function must fail the restore:
+    // wrapping it in the Cont's InlineFn would look callable.
+    ckpt::Cont bad = ckpt::restoreCont(
+        d, [](const ckpt::EventDesc &) { return std::function<void()>(); },
+        "a test waiter");
+    EXPECT_FALSE(d.ok());
+    EXPECT_FALSE(bad);
+    EXPECT_NE(d.error().find("no rehydration recipe for a test waiter"),
+              std::string::npos)
+        << d.error();
+}
+
+/**
+ * A 2-node machine whose node 0 restores hand-built protocol
+ * sections: the bytes a fresh node saves, minus its empty tail
+ * (MAF, victim-buffer and directory counts, then the empty throttle
+ * queue, fill batches, two counters and parked spans).
+ */
+class NodeSnapshot : public ::testing::Test
+{
+  protected:
+    static constexpr std::size_t emptyTailBytes = 4 * 6 + 8 * 2;
+
+    SimContext ctx;
+    topo::Torus2D torus{2, 1};
+    net::Network net{ctx, torus, net::NetworkParams::gs1280()};
+    mem::NodeOwnedMap map;
+    coher::CoherentNode node{ctx, net, 0, map, coher::NodeConfig{}};
+    ckpt::Serializer out;
+
+    void
+    SetUp() override
+    {
+        ckpt::Serializer fresh;
+        node.saveCkpt(fresh);
+        ASSERT_GT(fresh.size(), emptyTailBytes);
+        out.beginSection(ckpt::secCoh);
+        out.putBytes(fresh.buffer().data(),
+                     fresh.size() - emptyTailBytes);
+    }
+
+    void
+    putMaf(mem::Addr line)
+    {
+        out.put64(line);
+        out.putBool(false); // write
+        out.putBool(false); // dataArrived
+        out.putBool(false); // invalWhilePending
+        out.put8(static_cast<std::uint8_t>(mem::LineState::Shared));
+        out.putI32(-1); // acksNeeded
+        out.putI32(0);  // acksGot
+        out.put64(0);   // issued
+        trace::saveSpan(out, trace::SpanState{});
+        out.put32(0); // waiters
+        out.put32(0); // deferred forwards
+        out.put32(0); // retries
+    }
+
+    void
+    putVictim(mem::Addr line)
+    {
+        out.put64(line);
+        out.putBool(true);
+    }
+
+    void
+    putDir(mem::Addr line, coher::DirState state)
+    {
+        out.put64(line);
+        out.put8(static_cast<std::uint8_t>(state));
+        out.put64(0b10); // sharers
+        out.putI32(1);   // owner
+        out.putI32(invalidNode);
+        out.put8(0);
+        out.put32(0); // queued requests
+    }
+
+    /** Close the section and restore node 0 from it. */
+    std::string
+    restore()
+    {
+        out.put32(0); // throttled core accesses
+        out.put32(0); // fill batches
+        out.put64(0); // nextFillBatch
+        out.put64(0); // ioReceived
+        out.put32(0); // parked spans
+        out.endSection();
+        ckpt::Deserializer d(out.buffer().data(), out.size());
+        EXPECT_TRUE(d.enterSection(ckpt::secCoh, "COHR")) << d.error();
+        node.restoreCkpt(d, [](const ckpt::EventDesc &) {
+            return std::function<void()>();
+        });
+        if (d.ok())
+            d.leaveSection("COHR");
+        return d.error();
+    }
+};
+
+TEST_F(NodeSnapshot, WellFormedSectionsRestore)
+{
+    out.put32(2);
+    putMaf(0x1000);
+    putMaf(0x2000);
+    out.put32(2);
+    putVictim(0x3000);
+    putVictim(0x3040);
+    out.put32(2);
+    putDir(0x4000, coher::DirState::Shared);
+    putDir(0x4040, coher::DirState::Busy);
+    ASSERT_EQ(restore(), "");
+    EXPECT_EQ(node.outstandingMisses(), 2);
+    EXPECT_EQ(node.victimBufferFill(), 2);
+    EXPECT_EQ(node.dirState(0x4000), coher::DirState::Shared);
+    EXPECT_EQ(node.dirSharers(0x4000), 0b10u);
+    EXPECT_EQ(node.dirState(0x4040), coher::DirState::Busy);
+    EXPECT_FALSE(node.quiesced());
+    EXPECT_EQ(node.quiesced(), node.quiescedByScan());
+}
+
+TEST_F(NodeSnapshot, RepeatedMafLineIsRejected)
+{
+    out.put32(2);
+    putMaf(0x1000);
+    putMaf(0x1000);
+    const std::string err = restore();
+    EXPECT_NE(err.find("node 0 MAF section repeats line 0x1000"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(NodeSnapshot, MafSectionLargerThanTheMafIsRejected)
+{
+    const int slots = coher::NodeConfig{}.mafEntries;
+    out.put32(static_cast<std::uint32_t>(slots + 1));
+    for (int i = 0; i <= slots; ++i)
+        putMaf(0x1000 + 64 * static_cast<mem::Addr>(i));
+    const std::string err = restore();
+    EXPECT_NE(err.find("MAF section holds " + std::to_string(slots + 1) +
+                       " entries, more than the " +
+                       std::to_string(slots) + " MAF slots"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(NodeSnapshot, RepeatedVictimLineIsRejected)
+{
+    out.put32(0);
+    out.put32(3);
+    putVictim(0x3000);
+    putVictim(0x3040);
+    putVictim(0x3000);
+    const std::string err = restore();
+    EXPECT_NE(err.find("node 0 victim-buffer section repeats line 0x3000"),
+              std::string::npos)
+        << err;
+}
+
+TEST_F(NodeSnapshot, RepeatedDirectoryLineIsRejected)
+{
+    out.put32(0);
+    out.put32(0);
+    out.put32(2);
+    putDir(0x4040, coher::DirState::Exclusive);
+    putDir(0x4040, coher::DirState::Shared);
+    const std::string err = restore();
+    EXPECT_NE(err.find("node 0 directory section repeats line 0x4040"),
+              std::string::npos)
+        << err;
 }
 
 } // namespace
