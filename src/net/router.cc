@@ -648,8 +648,10 @@ Router::tickBufferless(Tick now)
         // per-packet deflections and breaks deterministic
         // deflection orbits (file header).
         int out = pickBufferlessPort(
-            pkt, pkt.deflections < kDeflectionEscalation, now,
-            deflected);
+            pkt,
+            static_cast<std::uint32_t>(pkt.deflections) <
+                kDeflectionEscalation,
+            now, deflected);
         if (out < 0) {
             if (lr.side)
                 continue; // already out of the way; wait in place

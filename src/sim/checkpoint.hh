@@ -18,11 +18,11 @@
  *    ok() once.
  *
  *  - EventDesc: a 32-byte POD describing how to rebuild a pending
- *    event's callback after restore. It rides in the otherwise-pad
- *    bytes of the event kernel's 128-byte entry, so describing every
- *    event costs the hot path nothing. Kind 0 (Opaque) marks a
- *    callback that cannot be rebuilt; saving fails loudly if one is
- *    pending.
+ *    event's callback after restore. It sits next to the callback in
+ *    the event kernel's payload slab, which the calendar never moves,
+ *    so describing every event costs the hot path one 32-byte store.
+ *    Kind 0 (Opaque) marks a callback that cannot be rebuilt; saving
+ *    fails loudly if one is pending.
  *
  *  - Cont: a continuation (callback + EventDesc) components hold in
  *    their own pending state (MAF waiters, deferred core requests).
@@ -88,8 +88,8 @@ constexpr std::uint32_t secXtra = fourcc('X', 'T', 'R', 'A');
  * `kind` selects the owning component's rehydration recipe (EvKind);
  * `owner` is the component instance (node id, cpu id, network
  * domain, or registered-client id); a/b/c/u/v are kind-specific
- * operands. Exactly 32 bytes: it replaces the padding of the event
- * kernel's 128-byte entry.
+ * operands. Exactly 32 bytes: it shares an event-kernel slab slot
+ * with the callback (EventQueue::Payload).
  */
 struct EventDesc
 {
@@ -101,7 +101,7 @@ struct EventDesc
     std::uint64_t u = 0;
     std::uint64_t v = 0;
 };
-static_assert(sizeof(EventDesc) == 32, "event-entry pad layout");
+static_assert(sizeof(EventDesc) == 32, "event-kernel slab slot layout");
 static_assert(std::is_trivially_copyable_v<EventDesc>);
 
 /** Event-callback kinds (EventDesc::kind). */

@@ -10,13 +10,17 @@
  * ring of buckets covers the near future (bucketWidth ticks per
  * bucket, bucketCount buckets of horizon total), and anything
  * scheduled beyond the ring's window waits in an overflow min-heap
- * until the window slides over it. Steady-state traffic — network
- * cycles, memory callbacks, coherence hops, all within a few hundred
- * nanoseconds of now — lands in a warm bucket vector with no heap
- * ordering work and, because callbacks are InlineFn rather than
- * std::function, no allocation. The fire order is contractual and
- * identical to a single (when, seq) min-heap; see
- * tests/sim/event_queue_ab_test.cc, which locks the two
+ * until the window slides over it. Buckets and the heap order only
+ * 24-byte {when, seq, slot} keys; each event's callback and snapshot
+ * descriptor sit in a per-queue slab slot from schedule to fire, so
+ * sorting, out-of-order inserts and growth move keys, never
+ * callables. Steady-state traffic — network cycles, memory
+ * callbacks, coherence hops, all within a few hundred nanoseconds of
+ * now — lands in a warm bucket with no heap ordering work and,
+ * because callbacks are InlineFn rather than std::function and slab
+ * slots are recycled through a freelist, no allocation. The fire
+ * order is contractual and identical to a single (when, seq)
+ * min-heap; see tests/sim/event_queue_ab_test.cc, which locks the two
  * implementations together, and docs/EVENT_KERNEL.md for sizing.
  */
 
@@ -26,6 +30,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/checkpoint.hh"
@@ -105,13 +112,16 @@ class EventQueue
 
     /** Events migrated overflow-heap -> ring since construction. */
     std::uint64_t overflowMigrations() const { return migrated; }
+
+    /** Callback slots the slab owns (grows with pending, never shrinks). */
+    std::size_t slabSlots() const { return slab.size(); }
     /// @}
 
     /**
      * Schedule @p fn at absolute time @p when (>= now).
      *
      * Templated on the callable so the capture is constructed
-     * directly inside the calendar slot — no intermediate EventFn
+     * directly inside its slab slot — no intermediate EventFn
      * relocation on the hot path.
      */
     template <typename F>
@@ -208,7 +218,7 @@ class EventQueue
     {
         while (ensureCurrent()) {
             Bucket &b = *curb;
-            if (b.entries[b.head].when > limit)
+            if (b.keys[b.head].when > limit)
                 break;
             fireHead();
         }
@@ -234,7 +244,7 @@ class EventQueue
         std::size_t n = 0;
         while (ensureCurrent()) {
             Bucket &b = *curb;
-            if (b.entries[b.head].when >= drainLimit_)
+            if (b.keys[b.head].when >= drainLimit_)
                 break;
             fireHead();
             n += 1;
@@ -268,7 +278,7 @@ class EventQueue
     {
         if (!ensureCurrent())
             return maxTick;
-        return curb->entries[curb->head].when;
+        return curb->keys[curb->head].when;
     }
 
     /**
@@ -289,18 +299,28 @@ class EventQueue
     void
     clear()
     {
+        // Every pending callback is destroyed here and its slot goes
+        // back on the freelist; fired slots are already there.
+        auto drop = [this](const Key &k) {
+            slab[k.slot].fn = EventFn();
+            freeSlot(k.slot);
+        };
         for (auto &b : buckets) {
-            b.entries.destroyAll();
+            for (std::size_t i = b.head; i < b.keys.size(); ++i)
+                drop(b.keys[i]);
+            b.keys.clear();
             b.head = 0;
             b.sorted = false;
         }
+        for (const Key &k : heap)
+            drop(k);
         heap.clear();
         ringCount = 0;
         pendingCnt = 0;
         // Re-anchor the ring at zero: leaving base/cur at the old
         // epoch would let the next insert land relative to a stale
         // window. (Today every post-clear insert takes the
-        // empty-queue re-anchor path in insert(), but that is an
+        // empty-queue re-anchor path in placeKey(), but that is an
         // invariant of the current code shape, not of the API —
         // clear() must leave the queue indistinguishable from a
         // fresh one, pending-state-wise.)
@@ -310,21 +330,25 @@ class EventQueue
     }
 
     /**
-     * Pre-size every ring bucket to hold @p perBucket entries.
+     * Pre-size every ring bucket to hold @p perBucket keys, and the
+     * slab to perBucket * 128 callback slots.
      *
      * Bucket storage grows on first touch and then persists, but the
      * tick grid and the bucket ring have co-prime periods, so a
      * sparse workload can keep first-touching fresh buckets many
      * ring laps into a run. A queue whose steady state must be
      * allocation-free — every parallel-engine domain queue — calls
-     * this once at construction instead (8 * 128-byte entries per
-     * bucket = 1 MiB per queue; serial contexts skip it).
+     * this once at construction instead (8 * 24-byte keys per bucket
+     * plus 1024 * 128-byte slots = 320 KiB per queue; serial
+     * contexts skip it).
      */
     void
     prewarm(std::size_t perBucket = 8)
     {
         for (auto &b : buckets)
-            b.entries.reserve(perBucket);
+            b.keys.reserve(perBucket);
+        if (slab.size() < perBucket * 128)
+            growSlab(perBucket * 128);
     }
 
     /** @name Checkpoint/restore (docs/CHECKPOINT.md)
@@ -363,13 +387,13 @@ class EventQueue
     visitPending(V &&visit) const
     {
         for (const auto &b : buckets) {
-            for (std::size_t i = b.head; i < b.entries.size(); ++i) {
-                const Entry &e = b.entries[i];
-                visit(e.when, e.seq, e.desc);
+            for (std::size_t i = b.head; i < b.keys.size(); ++i) {
+                const Key &k = b.keys[i];
+                visit(k.when, k.seq, slab[k.slot].desc);
             }
         }
-        for (const auto &e : heap)
-            visit(e.when, e.seq, e.desc);
+        for (const Key &k : heap)
+            visit(k.when, k.seq, slab[k.slot].desc);
     }
 
     /**
@@ -406,171 +430,61 @@ class EventQueue
     /// @}
 
   private:
-    struct Entry
+    /** Freelist terminator. */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+
+    /**
+     * What buckets and the overflow heap order: the (when, seq) fire
+     * key plus the slab slot holding the event's payload. Trivially
+     * copyable, so every reordering is a memmove. `slot` is 64 bits
+     * wide only so the key has no padding: a key copy never loads
+     * bytes the store before it left unwritten, which would defeat
+     * store-to-load forwarding on the schedule-then-fire path.
+     */
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        EventFn fn;
-        // Fills sizeof(Entry) to a power of two so every
-        // vector<Entry>::size() on the hot path is a shift instead
-        // of a multiply by a magic reciprocal. The filler is the
-        // event's checkpoint descriptor — describing every event for
-        // snapshots costs the hot path no extra stride.
-        ckpt::EventDesc desc;
-
-        template <typename F,
-                  typename = std::enable_if_t<
-                      !std::is_same_v<std::decay_t<F>, Entry>>>
-        Entry(Tick w, std::uint64_t s, const ckpt::EventDesc &d, F &&f)
-            : when(w), seq(s), fn(std::forward<F>(f)), desc(d)
-        {}
-
-        Entry(Entry &&o) noexcept
-            : when(o.when), seq(o.seq), fn(std::move(o.fn)),
-              desc(o.desc)
-        {}
-
-        Entry &
-        operator=(Entry &&o) noexcept
-        {
-            when = o.when;
-            seq = o.seq;
-            fn = std::move(o.fn);
-            desc = o.desc;
-            return *this;
-        }
+        std::uint64_t slot;
 
         bool
-        operator>(const Entry &o) const
+        operator<(const Key &o) const
         {
-            return when != o.when ? when > o.when : seq > o.seq;
+            return when != o.when ? when < o.when : seq < o.seq;
         }
+
+        bool operator>(const Key &o) const { return o < *this; }
     };
-    static_assert(sizeof(Entry) == 128, "hot-path stride");
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>,
+                  "keys are what the calendar moves");
 
     /**
-     * Grow-only storage for a bucket's entries.
-     *
-     * A pared-down vector with one extra verb std::vector cannot
-     * express: truncateHusks(), which drops every element without
-     * running destructors. When a bucket drains, all its entries are
-     * moved-from husks whose InlineFn destructors are no-ops by
-     * construction (fireHead relocates the callable out before
-     * invoking it), so the per-element destructor walk std::vector
-     * would do on clear() is pure overhead on the fire path. Elements
-     * that may still be live (queue clear()/rewind/destruction) go
-     * through destroyAll() instead. Capacity is retained across
-     * truncation so warm buckets never re-allocate.
+     * One slab slot. A scheduled event's callback and checkpoint
+     * descriptor stay here from schedule to fire. Every slot always
+     * holds a constructed EventFn: a free slot's is empty or a
+     * vacated husk (fireHead takes the callable out), both of which
+     * destroy and relocate without running user code.
      */
-    class EntryVec
+    struct Payload
     {
-      public:
-        EntryVec() = default;
-        EntryVec(const EntryVec &) = delete;
-        EntryVec &operator=(const EntryVec &) = delete;
-
-        // Plain (unaligned) operator new suffices — and keeps these
-        // allocations visible to tests that override it globally.
-        static_assert(alignof(Entry) <= alignof(std::max_align_t),
-                      "Entry must not be over-aligned");
-
-        ~EntryVec()
-        {
-            destroyAll();
-            ::operator delete(data_);
-        }
-
-        std::size_t size() const { return size_; }
-        bool empty() const { return size_ == 0; }
-        Entry &operator[](std::size_t i) { return data_[i]; }
-        const Entry &operator[](std::size_t i) const { return data_[i]; }
-        Entry &back() { return data_[size_ - 1]; }
-        Entry *begin() { return data_; }
-        Entry *end() { return data_ + size_; }
-
-        template <typename... Args>
-        void
-        emplace_back(Args &&...args)
-        {
-            if (size_ == cap_) [[unlikely]]
-                grow();
-            ::new (static_cast<void *>(data_ + size_))
-                Entry(std::forward<Args>(args)...);
-            size_ += 1;
-        }
-
-        /** Insert before @p pos, shifting the tail up one slot. */
-        template <typename... Args>
-        void
-        emplace(Entry *pos, Args &&...args)
-        {
-            std::size_t at = static_cast<std::size_t>(pos - data_);
-            if (size_ == cap_) [[unlikely]]
-                grow();
-            for (std::size_t i = size_; i > at; --i) {
-                ::new (static_cast<void *>(data_ + i))
-                    Entry(std::move(data_[i - 1]));
-                data_[i - 1].~Entry();
-            }
-            ::new (static_cast<void *>(data_ + at))
-                Entry(std::forward<Args>(args)...);
-            size_ += 1;
-        }
-
-        /** Drop all elements, destructor-free. Precondition: every
-         *  element is a vacated husk (no-op destructor). */
-        void truncateHusks() { size_ = 0; }
-
-        /** Grow capacity to at least @p n without adding elements. */
-        void
-        reserve(std::size_t n)
-        {
-            while (cap_ < n)
-                grow();
-        }
-
-        /** Drop all elements, running destructors (live entries). */
-        void
-        destroyAll()
-        {
-            for (std::size_t i = 0; i < size_; ++i)
-                data_[i].~Entry();
-            size_ = 0;
-        }
-
-      private:
-        void
-        grow()
-        {
-            std::size_t ncap = cap_ ? cap_ * 2 : 8;
-            auto *nd = static_cast<Entry *>(
-                ::operator new(ncap * sizeof(Entry)));
-            for (std::size_t i = 0; i < size_; ++i) {
-                ::new (static_cast<void *>(nd + i))
-                    Entry(std::move(data_[i]));
-                data_[i].~Entry();
-            }
-            ::operator delete(data_);
-            data_ = nd;
-            cap_ = ncap;
-        }
-
-        Entry *data_ = nullptr;
-        std::size_t size_ = 0;
-        std::size_t cap_ = 0;
+        EventFn fn;
+        ckpt::EventDesc desc;
+        std::uint32_t nextFree = noSlot; ///< freelist link while free
     };
 
     /**
      * One calendar slot. `sorted` is true only while this is the
      * current bucket: future buckets take cheap unordered appends and
      * are sorted once, by (when, seq), when the window reaches them.
-     * `head` indexes the next unfired entry of the current bucket
-     * (consumed entries stay as moved-from husks until the bucket
-     * drains and its storage is recycled).
+     * `head` indexes the next unfired key of the current bucket;
+     * consumed keys stay below it (insertLive may reuse that room)
+     * until the bucket drains and the array is cleared (O(1): keys
+     * are trivially destructible, and capacity is kept so warm
+     * buckets never re-allocate).
      */
     struct Bucket
     {
-        EntryVec entries;
+        std::vector<Key> keys;
         std::size_t head = 0;
         bool sorted = false;
     };
@@ -588,11 +502,62 @@ class EventQueue
         return when & ~(bucketWidth - 1);
     }
 
+    /** Pop a free slab slot, growing the slab when none is left. */
+    std::uint32_t
+    allocSlot()
+    {
+        if (freeHead == noSlot) [[unlikely]]
+            growSlab(slab.empty() ? 64 : 2 * slab.size());
+        const std::uint32_t s = freeHead;
+        freeHead = slab[s].nextFree;
+        return s;
+    }
+
+    /** Push @p s on the LIFO freelist; its EventFn must be vacated. */
+    void
+    freeSlot(std::uint32_t s)
+    {
+        slab[s].nextFree = freeHead;
+        freeHead = s;
+    }
+
+    /** Extend the slab to @p n slots and chain the new ones as free.
+     *  Kept out of line so the schedule path inlines. */
+    [[gnu::noinline]] void
+    growSlab(std::size_t n)
+    {
+        gs_assert(n < noSlot, "event slab exceeds 2^32 slots");
+        const std::size_t old = slab.size();
+        slab.resize(n);
+        // Lowest new index ends up on top, so slots fill in order.
+        for (std::size_t i = n; i-- > old;)
+            freeSlot(static_cast<std::uint32_t>(i));
+    }
+
     template <typename F>
     void
     insert(Tick when, std::uint64_t seq, const ckpt::EventDesc &desc,
            F &&fn)
     {
+        const std::uint32_t slot = allocSlot();
+        Payload &p = slab[slot];
+        // The free slot's EventFn is empty or a husk (no-op
+        // destructor), so the capture is built straight over it.
+        ::new (static_cast<void *>(&p.fn)) EventFn(std::forward<F>(fn));
+        p.desc = desc;
+        placeKey(Key{when, seq, slot});
+    }
+
+    /**
+     * File @p k in its bucket or the overflow heap. Forced inline
+     * into every schedule site, with its cold branches kept out of
+     * line: a call here costs schedule-then-fire about 10 %
+     * (BM_EventQueueScheduleFire).
+     */
+    [[gnu::always_inline]] void
+    placeKey(const Key &k)
+    {
+        Bucket *b = curb;
         if (pendingCnt == 0) {
             // Empty queue: re-anchor the window at the new event so
             // the ubiquitous schedule-then-fire pattern never touches
@@ -601,61 +566,74 @@ class EventQueue
             // the moment it drains), so the event is trivially in
             // order and its bucket — the current one after the
             // re-anchor — takes a straight append.
-            Tick nb = bucketBase(when);
+            Tick nb = bucketBase(k.when);
             if (nb != base) {
                 curb->sorted = false;
                 base = nb;
-                cur = bucketIndex(when);
-                curb = &buckets[cur];
+                cur = bucketIndex(k.when);
+                b = curb = &buckets[cur];
                 curb->sorted = true; // empty: trivially sorted
             }
-            curb->entries.emplace_back(when, seq, desc,
-                                       std::forward<F>(fn));
-            ringCount += 1;
-            return;
-        }
-        if (when < base) {
-            // A long idle runUntil() re-anchored the window at a
-            // far-future event and control returned to the user; a
-            // new event now lands before the window. Rare and cold:
-            // rebuild the window around the early event.
-            rewindTo(when);
-        }
-        if (when < base + horizon) {
-            Bucket &b = buckets[bucketIndex(when)];
-            if (&b == curb && b.sorted &&
-                !(b.entries.empty() ||
-                  b.entries.back().when < when ||
-                  (b.entries.back().when == when &&
-                   b.entries.back().seq < seq))) {
-                // Out-of-order arrival into the live bucket: a
-                // binary-search insert keeps it sorted. The compare
-                // is the full (when, seq) order — a merged-band
-                // event (scheduleMergedAt) carries a lower seq than
-                // same-tick local events already in the bucket, so
-                // ordering by `when` alone would misplace it.
-                // In-order arrivals (the common case) append below,
-                // which also keeps the bucket sorted.
-                auto it = std::upper_bound(
-                    b.entries.begin() +
-                        static_cast<std::ptrdiff_t>(b.head),
-                    b.entries.end(),
-                    std::pair<Tick, std::uint64_t>{when, seq},
-                    [](const std::pair<Tick, std::uint64_t> &k,
-                       const Entry &e) {
-                        return k.first != e.when ? k.first < e.when
-                                                 : k.second < e.seq;
-                    });
-                b.entries.emplace(it, when, seq, desc,
-                                  std::forward<F>(fn));
-            } else {
-                b.entries.emplace_back(when, seq, desc,
-                                       std::forward<F>(fn));
-            }
-            ringCount += 1;
         } else {
-            heap.emplace_back(when, seq, desc, std::forward<F>(fn));
-            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+            if (k.when < base) {
+                // A long idle runUntil() re-anchored the window at a
+                // far-future event and control returned to the user;
+                // a new event now lands before the window. Rare and
+                // cold: rebuild the window around the early event.
+                rewindTo(k.when);
+            }
+            if (k.when >= base + horizon) {
+                pushOverflow(k);
+                return;
+            }
+            b = &buckets[bucketIndex(k.when)];
+            // The compare is the full (when, seq) order — a
+            // merged-band event (scheduleMergedAt) carries a lower
+            // seq than same-tick local events already in the bucket,
+            // so ordering by `when` alone would misplace it. In-order
+            // arrivals (the common case) append, which also keeps a
+            // live bucket sorted.
+            if (b == curb && b->sorted && !b->keys.empty() &&
+                k < b->keys.back()) {
+                insertLive(*b, k);
+                ringCount += 1;
+                return;
+            }
+        }
+        b->keys.push_back(k);
+        ringCount += 1;
+    }
+
+    /** Park @p k in the overflow heap (out of line: see growSlab). */
+    [[gnu::noinline]] void
+    pushOverflow(const Key &k)
+    {
+        heap.push_back(k);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
+
+    /**
+     * Out-of-order arrival into the live (sorted, partly fired)
+     * bucket: a binary-search insert keeps it sorted. When fired
+     * keys have left room below the head and fewer keys precede the
+     * insert point than follow it, the preceding run shifts down one
+     * slot instead of the tail shifting up (on perfbench's gups2048,
+     * 250 M keys moved instead of 369.5 M).
+     */
+    [[gnu::noinline]] static void
+    insertLive(Bucket &b, const Key &k)
+    {
+        Key *first = b.keys.data() + b.head;
+        Key *last = b.keys.data() + b.keys.size();
+        Key *pos = std::upper_bound(first, last, k);
+        if (b.head > 0 && pos - first <= last - pos) {
+            std::memmove(first - 1, first,
+                         static_cast<std::size_t>(pos - first) *
+                             sizeof(Key));
+            pos[-1] = k;
+            b.head -= 1;
+        } else {
+            b.keys.insert(b.keys.begin() + (pos - b.keys.data()), k);
         }
     }
 
@@ -670,15 +648,13 @@ class EventQueue
     {
         for (;;) {
             Bucket &b = *curb;
-            if (b.head < b.entries.size()) {
+            if (b.head < b.keys.size()) {
                 if (!b.sorted)
                     sortBucket(b);
                 return true;
             }
             if (b.head != 0) {
-                // Destructor-free: a drained bucket holds only husks.
-                // Capacity is kept, so warm buckets stay warm.
-                b.entries.truncateHusks();
+                b.keys.clear(); // capacity kept: warm buckets stay warm
                 b.head = 0;
             }
             if (ringCount == 0) {
@@ -711,31 +687,29 @@ class EventQueue
         const Tick limit = base + horizon;
         while (!heap.empty() && heap.front().when < limit) {
             std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-            Entry &top = heap.back();
-            Bucket &b = buckets[bucketIndex(top.when)];
-            b.entries.emplace_back(top.when, top.seq, top.desc,
-                                   std::move(top.fn));
-            b.sorted = false;
+            const Key k = heap.back();
             heap.pop_back();
+            Bucket &b = buckets[bucketIndex(k.when)];
+            b.keys.push_back(k);
+            b.sorted = false;
             ringCount += 1;
             migrated += 1;
         }
     }
 
     /** Rebuild the window around early @p when (cold path; see insert). */
-    void
+    [[gnu::noinline]] void
     rewindTo(Tick when)
     {
         for (auto &b : buckets) {
-            for (std::size_t i = b.head; i < b.entries.size(); ++i) {
-                heap.push_back(std::move(b.entries[i]));
-                std::push_heap(heap.begin(), heap.end(),
-                               std::greater<>{});
-            }
-            b.entries.destroyAll();
+            heap.insert(heap.end(),
+                        b.keys.begin() + static_cast<std::ptrdiff_t>(b.head),
+                        b.keys.end());
+            b.keys.clear();
             b.head = 0;
             b.sorted = false;
         }
+        std::make_heap(heap.begin(), heap.end(), std::greater<>{});
         ringCount = 0;
         base = bucketBase(when);
         cur = bucketIndex(when);
@@ -747,11 +721,7 @@ class EventQueue
     sortBucket(Bucket &b)
     {
         gs_assert(b.head == 0, "sorting a partially drained bucket");
-        std::sort(b.entries.begin(), b.entries.end(),
-                  [](const Entry &a, const Entry &c) {
-                      return a.when != c.when ? a.when < c.when
-                                              : a.seq < c.seq;
-                  });
+        std::sort(b.keys.begin(), b.keys.end());
         b.sorted = true;
     }
 
@@ -760,53 +730,71 @@ class EventQueue
     fireHead()
     {
         Bucket &b = *curb;
-        Entry &slot = b.entries[b.head];
-        // The callable is relocated out of the slot before it runs:
-        // the callback may append to this bucket and reallocate its
-        // storage. Trivially-relocatable callables (the steady-state
-        // shape) take the raw-copy thunk path; the rest pay a full
-        // InlineFn move.
+        const Key k = b.keys[b.head];
+        b.head += 1;
+        if (b.head == b.keys.size()) {
+            b.keys.clear();
+            b.head = 0;
+        }
+        ringCount -= 1;
+        pendingCnt -= 1;
+        curTick = k.when;
+        fired += 1;
+        // The callable leaves its slot, and the slot goes back on the
+        // freelist, before it runs: the callback may schedule into
+        // that very slot, grow the slab or clear() the queue.
+        // Trivially-relocatable callables (the steady-state shape)
+        // take the raw-copy thunk path; the rest pay a full InlineFn
+        // move.
         alignas(std::max_align_t) unsigned char tmp[EventFn::inlineCapacity];
-        const Tick when = slot.when;
-        auto pop = [&] {
-            b.head += 1;
-            if (b.head == b.entries.size()) {
-                b.entries.truncateHusks(); // all husks: destructor-free
-                b.head = 0;
-            }
-            ringCount -= 1;
-            pendingCnt -= 1;
-            curTick = when;
-            fired += 1;
-        };
-        if (EventFn::CallFn thunk = slot.fn.stealTrivial(tmp)) {
-            pop();
+        if (EventFn::CallFn thunk = slab[k.slot].fn.stealTrivial(tmp)) {
+            freeSlot(k.slot);
             thunk(tmp);
         } else {
-            EventFn fn = std::move(slot.fn);
-            pop();
-            fn();
+            fireMoved(k.slot);
         }
+    }
+
+    /**
+     * fireHead's path for heap-backed and non-trivial callables. Out
+     * of line, so the trivial path reads the slot's call and manager
+     * pointers as the two scalars they were stored as.
+     */
+    [[gnu::noinline]] void
+    fireMoved(std::uint32_t s)
+    {
+        EventFn fn = std::move(slab[s].fn);
+        freeSlot(s);
+        fn();
     }
 
     std::array<Bucket, bucketCount> buckets;
     // Overflow min-heap, kept as a raw vector + std::push_heap /
     // std::pop_heap (same complexity as std::priority_queue) so that
-    // checkpointing can iterate the parked entries.
-    std::vector<Entry> heap;
+    // checkpointing can iterate the parked keys.
+    std::vector<Key> heap;
+    // Payload slab; buckets and heap refer into it by index, so it
+    // may reallocate whenever it grows.
+    std::vector<Payload> slab;
+    std::uint32_t freeHead = noSlot; ///< top of the LIFO freelist
     Tick base = 0;        ///< window start (current bucket's range)
     std::size_t cur = 0;  ///< physical index of the current bucket
     Bucket *curb = &buckets[0]; ///< cached &buckets[cur] (hot paths)
     std::size_t ringCount = 0;  ///< unfired events in the ring
-    std::size_t pendingCnt = 0; ///< ringCount + heap.size(), cached
 
     Tick curTick = 0;
     Tick drainLimit_ = 0; ///< live only inside drainWindow()
     std::uint64_t nextSeq = localSeqBase; ///< local scheduling band
     std::uint64_t nextMergedSeq = 0;      ///< barrier-merge band
     std::uint64_t fired = 0;
-    std::size_t peak = 0;
     std::uint64_t migrated = 0;
+    // Not adjacent to ringCount or fired: fireHead decrements and
+    // increments those in the same breath, and the compiler would
+    // fuse a neighbouring pair into one 16-byte load that cannot be
+    // store-forwarded from the two 8-byte stores scheduleAt just
+    // made — a stall on every schedule-then-fire.
+    std::size_t pendingCnt = 0; ///< ringCount + heap.size(), cached
+    std::size_t peak = 0;
 };
 
 } // namespace gs

@@ -80,9 +80,12 @@ ParallelEngine::ParallelEngine(Config cfg)
     gs_assert(lookahead_ > 0, "lookahead must be positive");
     ctxs.reserve(static_cast<std::size_t>(nDomains));
     // Workers must not allocate in steady state; first-touch bucket
-    // growth can strike arbitrarily late without prewarming. The
-    // per-queue footprint scales down as the tile count grows so a
-    // finely tiled machine does not multiply it.
+    // growth can strike arbitrarily late without prewarming. Each
+    // queue reserves perBucket 24-byte keys in each of its 1024
+    // buckets and perBucket * 128 callback slots of 128 bytes:
+    // 320 KiB at perBucket = 8, 80 KiB at the floor of 2. The
+    // footprint scales down as the tile count grows so a finely
+    // tiled machine does not multiply it.
     const std::size_t perBucket =
         nDomains <= 8 ? 8
                       : std::max<std::size_t>(

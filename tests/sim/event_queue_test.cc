@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
+#include "sim/checkpoint.hh"
 #include "sim/event_queue.hh"
 
 namespace
@@ -338,6 +344,269 @@ TEST(EventQueueWindow, MergedEventBeforeRingBaseStillFires)
     eq.runUntil();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
     EXPECT_EQ(eq.now(), far);
+}
+
+// --- Payload slab lifetimes -----------------------------------------
+// Callbacks live in a slab slot from schedule to fire while the
+// calendar moves only keys. Every capture must be destroyed exactly
+// once whichever way it leaves the queue, and freed slots recycle.
+
+/** Per-capture destruction and call counts, plus live instances. */
+struct Census
+{
+    int live = 0; ///< capture objects alive, moved-from ones included
+    std::vector<int> destroyed; ///< per id: owning-instance destructions
+    std::vector<int> calls;     ///< per id: invocations
+
+    int
+    add()
+    {
+        destroyed.push_back(0);
+        calls.push_back(0);
+        return static_cast<int>(destroyed.size()) - 1;
+    }
+
+    bool
+    eachDestroyedOnce() const
+    {
+        return std::all_of(destroyed.begin(), destroyed.end(),
+                           [](int d) { return d == 1; });
+    }
+};
+
+/** A non-trivially-relocatable capture that stays inline. */
+struct Counted
+{
+    Census *c;
+    int id;
+    bool owns = true;
+
+    explicit Counted(Census *census) : c(census), id(census->add())
+    {
+        c->live += 1;
+    }
+    Counted(Counted &&o) noexcept : c(o.c), id(o.id), owns(o.owns)
+    {
+        o.owns = false;
+        c->live += 1;
+    }
+    Counted(const Counted &) = delete;
+    Counted &operator=(const Counted &) = delete;
+    ~Counted()
+    {
+        c->live -= 1;
+        if (owns)
+            c->destroyed[static_cast<std::size_t>(id)] += 1;
+    }
+    void operator()() { c->calls[static_cast<std::size_t>(id)] += 1; }
+};
+
+/** The same, padded past the inline buffer: heap-backed. */
+struct Bulky : Counted
+{
+    using Counted::Counted;
+    std::array<std::uint64_t, 8> ballast{};
+};
+
+static_assert(gs::InlineFn::fitsInline<Counted>());
+static_assert(!std::is_trivially_copyable_v<Counted>);
+static_assert(!gs::InlineFn::fitsInline<Bulky>());
+
+template <typename Capture>
+class EventQueueSlab : public ::testing::Test
+{};
+using CaptureTypes = ::testing::Types<Counted, Bulky>;
+TYPED_TEST_SUITE(EventQueueSlab, CaptureTypes);
+
+TYPED_TEST(EventQueueSlab, FiredCaptureDestroyedOnce)
+{
+    Census census;
+    {
+        EventQueue eq;
+        for (int i = 0; i < 20; ++i)
+            eq.scheduleAt(static_cast<Tick>(10 + 7 * i),
+                          TypeParam(&census));
+        eq.scheduleAt(3 * EventQueue::horizon, TypeParam(&census));
+        eq.runUntil();
+        EXPECT_EQ(census.live, 0);
+        EXPECT_TRUE(census.eachDestroyedOnce());
+    }
+    EXPECT_EQ(census.calls, std::vector<int>(21, 1));
+    EXPECT_TRUE(census.eachDestroyedOnce());
+}
+
+TYPED_TEST(EventQueueSlab, ClearDestroysPendingOnce)
+{
+    Census census;
+    EventQueue eq;
+    for (int i = 0; i < 12; ++i)
+        eq.scheduleAt(static_cast<Tick>(100 * i), TypeParam(&census));
+    eq.scheduleAt(2 * EventQueue::horizon, TypeParam(&census));
+    eq.runUntil(450); // fires ids 0..4
+    eq.clear();
+    EXPECT_EQ(census.live, 0);
+    EXPECT_TRUE(census.eachDestroyedOnce());
+    for (std::size_t id = 0; id < census.calls.size(); ++id)
+        EXPECT_EQ(census.calls[id], id < 5 ? 1 : 0) << "id " << id;
+}
+
+TYPED_TEST(EventQueueSlab, ClearFromCallbackMidBucketDestroysOnce)
+{
+    Census census;
+    EventQueue eq;
+    eq.scheduleAt(100, TypeParam(&census));
+    eq.scheduleAt(100, [&eq] { eq.clear(); });
+    eq.scheduleAt(100, TypeParam(&census)); // same bucket, after it
+    eq.scheduleAt(101, TypeParam(&census));
+    eq.scheduleAt(EventQueue::horizon + 9, TypeParam(&census));
+    eq.runUntil();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(census.live, 0);
+    EXPECT_TRUE(census.eachDestroyedOnce());
+    EXPECT_EQ(census.calls, (std::vector<int>{1, 0, 0, 0}));
+}
+
+TYPED_TEST(EventQueueSlab, PendingAtDestructionDestroyedOnce)
+{
+    Census census;
+    {
+        EventQueue eq;
+        for (int i = 0; i < 10; ++i)
+            eq.scheduleAt(static_cast<Tick>(50 * i), TypeParam(&census));
+        eq.scheduleAt(5 * EventQueue::horizon, TypeParam(&census));
+        eq.runUntil(120); // fires ids 0..2, leaves ring and heap work
+        EXPECT_EQ(census.live, 8);
+    }
+    EXPECT_EQ(census.live, 0);
+    EXPECT_TRUE(census.eachDestroyedOnce());
+    EXPECT_EQ(census.calls,
+              (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0}));
+}
+
+TYPED_TEST(EventQueueSlab, RewindKeepsEachCaptureOnce)
+{
+    Census census;
+    EventQueue eq;
+    // The first schedule anchors the window at `far`; the next ones
+    // share the ring with it and one parks in the overflow heap.
+    const Tick far = 2 * EventQueue::horizon;
+    for (int i = 0; i < 6; ++i)
+        eq.scheduleAt(far + static_cast<Tick>(i), TypeParam(&census));
+    eq.scheduleAt(far + 3 * EventQueue::horizon, TypeParam(&census));
+    eq.runUntil(10);
+    ASSERT_EQ(eq.now(), 10u);
+    // Lands before the window: every pending key is rebuilt around it.
+    eq.scheduleAt(20, TypeParam(&census));
+    EXPECT_EQ(census.live, 8);
+    EXPECT_EQ(eq.peekNext(), 20u);
+    eq.runUntil();
+    EXPECT_EQ(census.live, 0);
+    EXPECT_TRUE(census.eachDestroyedOnce());
+    EXPECT_EQ(census.calls, std::vector<int>(8, 1));
+}
+
+TEST(EventQueueSlab, FreedSlotsAreReusedAfterClear)
+{
+    EventQueue eq;
+    int fired = 0;
+    auto fill = [&](Tick at) {
+        for (int i = 0; i < 1000; ++i)
+            eq.scheduleAt(at + static_cast<Tick>(i * 37),
+                          [&fired] { fired += 1; });
+    };
+    fill(0);
+    const std::size_t slots = eq.slabSlots();
+    ASSERT_GE(slots, 1000u);
+    for (int lap = 0; lap < 5; ++lap) {
+        eq.clear();
+        fill(eq.now());
+        EXPECT_EQ(eq.slabSlots(), slots) << "lap " << lap;
+    }
+    // Also when the clear comes from inside a firing callback.
+    eq.scheduleAt(eq.now(), [&] {
+        eq.clear();
+        fill(eq.now());
+    });
+    eq.runUntil(eq.now());
+    EXPECT_EQ(eq.slabSlots(), slots);
+    eq.runUntil();
+    EXPECT_EQ(eq.slabSlots(), slots);
+    // The last lap's tick-0 event fires before the clearing one.
+    EXPECT_EQ(fired, 1 + 1000);
+}
+
+TEST(EventQueueSlab, VisitPendingReportsEachEventOnce)
+{
+    using Seen = std::tuple<Tick, std::uint64_t>;
+    EventQueue eq;
+    std::map<std::uint64_t, Seen> live; // id -> (when, seq)
+    std::vector<std::uint64_t> fireLog;
+    std::uint64_t nextId = 0;
+    auto add = [&](Tick when, bool merged) {
+        const std::uint64_t id = nextId++;
+        gs::ckpt::EventDesc d;
+        d.u = id;
+        auto fn = [&live, &fireLog, id] {
+            live.erase(id);
+            fireLog.push_back(id);
+        };
+        const auto st = eq.ckptState();
+        if (merged) {
+            live[id] = {when, st.nextMergedSeq};
+            eq.scheduleMergedAt(when, d, fn);
+        } else {
+            live[id] = {when, st.nextSeq};
+            eq.scheduleAt(when, d, fn);
+        }
+    };
+    const Tick w = EventQueue::bucketWidth;
+    const Tick h = EventQueue::horizon;
+    add(0, false); // anchors the window at bucket 0
+    // Parked in the overflow heap; the window's first slide pulls
+    // the [h, h + w) ones into the ring.
+    for (int i = 0; i < 40; ++i)
+        add(h + static_cast<Tick>(i * 211), false);
+    // A 5000-event bucket, in scrambled tick order.
+    for (int i = 0; i < 5000; ++i)
+        add(w + static_cast<Tick>((i * 2654435761u) % w), false);
+    eq.runUntil(w + 1000); // bucket 1 is live and partly fired
+    ASSERT_GT(eq.overflowMigrations(), 0u);
+    ASSERT_GT(eq.overflowPending(), 0u);
+    // Interleave earlier-tick, merged-band, far and next-bucket
+    // inserts with fires.
+    for (int i = 0; i < 600; ++i) {
+        const Tick now = eq.now();
+        add(now + static_cast<Tick>(i % 5), false);
+        add(now + static_cast<Tick>(i % 11), true);
+        if (i % 3 == 0)
+            add(now + h + static_cast<Tick>(i), false);
+        if (i % 4 == 0)
+            add(now + w + static_cast<Tick>(i), false);
+        eq.step();
+    }
+
+    std::map<std::uint64_t, Seen> visited;
+    std::size_t visits = 0;
+    eq.visitPending([&](Tick when, std::uint64_t seq,
+                        const gs::ckpt::EventDesc &d) {
+        visits += 1;
+        EXPECT_TRUE(visited.emplace(d.u, Seen{when, seq}).second)
+            << "id " << d.u << " visited twice";
+    });
+    EXPECT_EQ(visits, eq.pending());
+    EXPECT_EQ(visited, live);
+
+    // The rest fires in exact (when, seq) order.
+    std::vector<std::pair<Seen, std::uint64_t>> expect;
+    for (const auto &[id, key] : live)
+        expect.push_back({key, id});
+    std::sort(expect.begin(), expect.end());
+    const std::size_t before = fireLog.size();
+    eq.runUntil();
+    ASSERT_EQ(fireLog.size() - before, expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        ASSERT_EQ(fireLog[before + i], expect[i].second) << "fire " << i;
+    EXPECT_TRUE(live.empty());
 }
 
 } // namespace

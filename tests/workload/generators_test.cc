@@ -51,8 +51,9 @@ TEST(PointerChase, StrideRespected)
     mem::Addr prev = 0;
     bool first = true;
     while (auto op = chase.next()) {
-        if (!first)
+        if (!first) {
             EXPECT_EQ(op->addr - prev, 4096u);
+        }
         prev = op->addr;
         first = false;
     }
