@@ -69,36 +69,6 @@ machineThreads(const Args &args)
     return static_cast<int>(args.getInt("threads", 1));
 }
 
-/** Register the --router backend option (compose like the others). */
-inline std::map<std::string, std::string>
-withRouterArg(std::map<std::string, std::string> known = {})
-{
-    known.emplace("router",
-                  "router backend: buffered (EV7 adaptive-VC, the "
-                  "default) or bufferless (deflection ablation, "
-                  "docs/ROUTER.md)");
-    return known;
-}
-
-/** Parse --router=buffered|bufferless; die on anything else. */
-inline net::RouterKind
-routerKindArg(const Args &args)
-{
-    const std::string v = args.getString("router", "buffered");
-    if (v == "buffered")
-        return net::RouterKind::Buffered;
-    if (v == "bufferless")
-        return net::RouterKind::Bufferless;
-    gs_fatal("--router=", v, ": expected buffered or bufferless");
-}
-
-/** Apply --router to @p opt before buildGS1280. */
-inline void
-applyRouterKind(const Args &args, sys::Gs1280Options &opt)
-{
-    opt.routerKind = routerKindArg(args);
-}
-
 /** Apply --tile-shape=RxC or RxCxS (if given); die on malformed. */
 inline void
 applyTileShape(const Args &args, sys::Gs1280Options &opt)

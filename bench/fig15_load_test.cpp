@@ -30,14 +30,12 @@ struct Point
 
 Point
 loadPoint(sys::SystemKind kind, int cpus, int outstanding,
-          std::uint64_t reads, std::uint64_t seed,
-          net::RouterKind router)
+          std::uint64_t reads, std::uint64_t seed)
 {
     std::unique_ptr<sys::Machine> m;
     if (kind == sys::SystemKind::GS1280) {
         sys::Gs1280Options opt;
         opt.mlp = outstanding;
-        opt.routerKind = router;
         m = sys::Machine::buildGS1280(cpus, opt);
     } else {
         m = sys::Machine::buildGS320(cpus, 1, outstanding);
@@ -81,14 +79,11 @@ main(int argc, char **argv)
 {
     using namespace gs;
     Args args(argc, argv,
-              bench::withRouterArg(bench::withSweepArgs(
+              bench::withSweepArgs(
                   {{"reads", "reads per CPU per point (default 600)"},
-                   {"full", "include the 64P sweep (slow)"}})));
+                   {"full", "include the 64P sweep (slow)"}}));
     auto reads = static_cast<std::uint64_t>(args.getInt("reads", 600));
     bool full = args.getBool("full", false);
-    // Applies to the GS1280 curves; the GS320 reference system has
-    // its own switch-based fabric and ignores the flag.
-    net::RouterKind router = bench::routerKindArg(args);
     auto runner = bench::makeRunner(args);
 
     printBanner(std::cout,
@@ -120,7 +115,7 @@ main(int argc, char **argv)
     auto measured = runner.map(
         tasks, [&](const Task &tk, SweepPoint sp) -> Point {
             return loadPoint(tk.curve.kind, tk.curve.cpus,
-                             tk.outstanding, reads, sp.seed, router);
+                             tk.outstanding, reads, sp.seed);
         });
 
     std::size_t at = 0;

@@ -45,11 +45,10 @@ main(int argc, char **argv)
 {
     using namespace gs;
     Args args(argc, argv,
-              bench::withRouterArg(bench::withCheckpointArgs(
+              bench::withCheckpointArgs(
                   bench::withTelemetryArgs(bench::withSweepArgs(
                       {{"updates", "updates per CPU (default 1500)"},
-                       {"full",
-                        "include the 64P point (slow)"}})))));
+                       {"full", "include the 64P point (slow)"}}))));
     auto updates =
         static_cast<std::uint64_t>(args.getInt("updates", 1500));
     bool full = args.getBool("full", false);
@@ -75,7 +74,6 @@ main(int argc, char **argv)
             // bit-identical at any value for a fixed tile shape
             opt.threads = threads;
             bench::applyTileShape(args, opt);
-            bench::applyRouterKind(args, opt);
             auto gs1280 = sys::Machine::buildGS1280(cpus, opt);
             double a = mups(*gs1280, cpus, updates,
                             Rng::deriveSeed(sp.seed, 0));
@@ -120,7 +118,6 @@ main(int argc, char **argv)
         opt.seed = master;
         opt.threads = threads;
         bench::applyTileShape(args, opt);
-        bench::applyRouterKind(args, opt);
         bench::applySpanSampling(args, opt);
         auto m = sys::Machine::buildGS1280(32, opt);
         bench::TelemetrySession session(args, *m);

@@ -235,9 +235,9 @@ BENCHMARK(BM_NetworkPacketDeliveryRegistered);
  * The router hot-path microbenchmark: a seeded uniform-random packet
  * storm on an 8x8 torus, injected in bursts deep enough to keep every
  * VC arbitration, credit round-trip and link serialization busy, then
- * drained. Templated over the fabric so the SoA Network, the frozen
- * legacy AoS router and the bufferless deflection backend all run the
- * exact same traffic; items/sec is packets delivered per wall second.
+ * drained. Templated over the fabric so the SoA Network and the frozen
+ * legacy AoS router run the exact same traffic; items/sec is packets
+ * delivered per wall second.
  */
 template <typename Net, typename... Extra>
 void
@@ -289,15 +289,6 @@ BM_RouterStormLegacy(benchmark::State &state)
                                         net::NetworkParams::gs1280());
 }
 BENCHMARK(BM_RouterStormLegacy);
-
-void
-BM_RouterStormBufferless(benchmark::State &state)
-{
-    net::NetworkParams prm = net::NetworkParams::gs1280();
-    prm.routerKind = net::RouterKind::Bufferless;
-    routerStorm<net::Network>(state, prm);
-}
-BENCHMARK(BM_RouterStormBufferless);
 
 void
 BM_CoherentLocalMiss(benchmark::State &state)

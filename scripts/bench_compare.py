@@ -30,8 +30,11 @@ candidate more than --max-regress ABOVE baseline fails. Everything
 else about the comparison (strict/warn-only, NEW/MISSING handling)
 is unchanged.
 
-Benchmarks present in only one file are reported but never fail the
-run: baselines are updated deliberately, not implicitly.
+A benchmark only in the candidate is reported as NEW and never fails
+the run: baselines are updated deliberately, not implicitly. A
+benchmark only in the baseline is MISSING and fails the run (a warning
+with --warn-only): a gauge or row that silently vanished must not pass
+a gate that no longer measures it.
 
 Exit codes: 0 ok, 1 regression (strict mode), 2 usage/parse error.
 """
@@ -178,6 +181,8 @@ def main():
             continue
         if name not in cand:
             print(f"  MISSING  {name}: in baseline only")
+            failures.append(f"{name}: in baseline but missing from "
+                            f"candidate {args.candidate}")
             continue
         ratio = cand[name] / base[name]
         status = "ok"

@@ -320,8 +320,6 @@ Network::refreshMergedStats() const
         agg.net.deliveredPackets += sh->st.deliveredPackets;
         agg.net.deliveredFlits += sh->st.deliveredFlits;
         agg.net.droppedPackets += sh->st.droppedPackets;
-        agg.net.maxDeflections =
-            std::max(agg.net.maxDeflections, sh->st.maxDeflections);
         agg.net.latencyNs.merge(sh->st.latencyNs);
         agg.net.hopsPerPacket.merge(sh->st.hopsPerPacket);
         agg.pool.allocated += sh->pool.stats().allocated;
@@ -557,11 +555,6 @@ Network::deliverNow(NodeId node, PacketHandle h)
     const Packet &pkt = sh.pool.get(h);
     sh.st.deliveredPackets += 1;
     sh.st.deliveredFlits += static_cast<std::uint64_t>(pkt.flits);
-    if (prm.routerKind == RouterKind::Bufferless) {
-        sh.st.maxDeflections =
-            std::max(sh.st.maxDeflections,
-                     static_cast<std::uint64_t>(pkt.deflections));
-    }
     sh.st.latencyNs.sample(
         ticksToNs(ctxOf(node).now() - pkt.injected));
     sh.st.hopsPerPacket.sample(static_cast<double>(pkt.hops));
@@ -646,34 +639,6 @@ Network::registerTelemetry(telem::Registry &reg,
     reg.addGauge(telem::path(prefix, "in_flight"),
                  [this] { return static_cast<double>(inFlight()); });
 
-    // Deflection accounting exists only under the bufferless backend;
-    // gating the paths keeps buffered exports byte-identical to every
-    // pre-bufferless release.
-    if (prm.routerKind == RouterKind::Bufferless) {
-        const std::string dp = telem::path(prefix, "deflect");
-        reg.addGauge(telem::path(dp, "count"), [this] {
-            std::uint64_t n = 0;
-            for (const auto &router : routers)
-                n += router->deflectionsSent();
-            return static_cast<double>(n);
-        });
-        reg.addGauge(telem::path(dp, "latch_stalls"), [this] {
-            std::uint64_t n = 0;
-            for (const auto &router : routers)
-                n += router->latchStalls();
-            return static_cast<double>(n);
-        });
-        reg.addGauge(telem::path(dp, "retreats"), [this] {
-            std::uint64_t n = 0;
-            for (const auto &router : routers)
-                n += router->retreats();
-            return static_cast<double>(n);
-        });
-        reg.addGauge(telem::path(dp, "max_per_packet"), [this] {
-            return static_cast<double>(stats().maxDeflections);
-        });
-    }
-
     // Packet-pool health: reuse should dwarf allocated once warm.
     const std::string pp = telem::path(prefix, "packet_pool");
     if (merged) {
@@ -752,7 +717,6 @@ Network::saveCkpt(ckpt::Serializer &s) const
         s.put64(sh.st.deliveredPackets);
         s.put64(sh.st.deliveredFlits);
         s.put64(sh.st.droppedPackets);
-        s.put64(sh.st.maxDeflections);
         sh.st.latencyNs.saveCkpt(s);
         sh.st.hopsPerPacket.saveCkpt(s);
         s.putI32(sh.flying);
@@ -822,7 +786,6 @@ Network::restoreCkpt(ckpt::Deserializer &d)
         sh.st.deliveredPackets = d.get64();
         sh.st.deliveredFlits = d.get64();
         sh.st.droppedPackets = d.get64();
-        sh.st.maxDeflections = d.get64();
         sh.st.latencyNs.restoreCkpt(d);
         sh.st.hopsPerPacket.restoreCkpt(d);
         sh.flying = d.getI32();

@@ -42,12 +42,6 @@ struct NetworkStats
     std::uint64_t deliveredPackets = 0;
     std::uint64_t deliveredFlits = 0;
     std::uint64_t droppedPackets = 0; ///< lost to faults (degraded mode)
-    /**
-     * Highest per-packet deflection count seen at delivery
-     * (bufferless backend only; stays 0 under buffered routing).
-     * The observable behind the golden livelock bound.
-     */
-    std::uint64_t maxDeflections = 0;
     stats::Average latencyNs;      ///< inject-to-deliver, all classes
     stats::Average hopsPerPacket;
 };

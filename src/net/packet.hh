@@ -103,13 +103,6 @@ struct Packet
     int hops = 0;      ///< network links traversed so far
 
     /**
-     * Times this packet was deflected off a minimal path (bufferless
-     * backend only; always 0 under buffered routing). The maximum
-     * across delivered packets is the livelock-bound observable.
-     */
-    int deflections = 0;
-
-    /**
      * Opaque payload for the layer above the network (the coherence
      * protocol encodes its message here). The network never
      * interprets it.

@@ -44,7 +44,6 @@ savePacket(ckpt::Serializer &s, const Packet &p)
     s.putI32(p.flits);
     s.put64(p.injected);
     s.putI32(p.hops);
-    s.putI32(p.deflections);
     for (std::uint64_t w : p.user)
         s.put64(w);
     trace::saveSpan(s, p.span);
@@ -60,7 +59,6 @@ restorePacket(ckpt::Deserializer &d, Packet &p)
     p.flits = d.getI32();
     p.injected = d.get64();
     p.hops = d.getI32();
-    p.deflections = d.getI32();
     for (std::uint64_t &w : p.user)
         w = d.get64();
     trace::restoreSpan(d, p.span);

@@ -14,38 +14,11 @@
 #ifndef GS_NET_PARAMS_HH
 #define GS_NET_PARAMS_HH
 
-#include <cstdint>
-
 #include "sim/types.hh"
 #include "topology/topology.hh"
 
 namespace gs::net
 {
-
-/**
- * Router backend selector.
- *
- * Buffered is the 21364 design point: per-VC input buffers, credit
- * flow control, two-level round-robin arbitration with minimal
- * adaptive routing and a deadlock-free escape channel.
- *
- * Bufferless is the deflection (hot-potato) ablation: one packet
- * latch per input port, no VC buffering, age-ranked port arbitration
- * that misroutes ("deflects") losers to any free port instead of
- * blocking them. See docs/ROUTER.md.
- */
-enum class RouterKind : std::uint8_t
-{
-    Buffered,
-    Bufferless,
-};
-
-/** Short backend name for META/telemetry ("buffered"/"bufferless"). */
-constexpr const char *
-routerKindName(RouterKind kind)
-{
-    return kind == RouterKind::Bufferless ? "bufferless" : "buffered";
-}
 
 /** Timing and buffering parameters for one network. */
 struct NetworkParams
@@ -86,9 +59,6 @@ struct NetworkParams
 
     /** Cut-through forwarding; false = store-and-forward per hop. */
     bool cutThrough = true;
-
-    /** Router backend (buffered EV7 vs bufferless deflection). */
-    RouterKind routerKind = RouterKind::Buffered;
 
     /// @}
 

@@ -18,7 +18,6 @@ Router::Router(Network &network, NodeId node)
     pb = ref.portBase;
     sb = ref.slotBase;
     nPorts = static_cast<int>(ref.ports);
-    kind_ = prm.routerKind;
 
     gs_assert(nPorts <= INT8_MAX, "route memo stores ports as int8");
     vcQ.resize(static_cast<std::size_t>(nPorts) * numVcs);
@@ -35,12 +34,9 @@ Router::Router(Network &network, NodeId node)
             core->credits[sidx(p, vc)] = vcCapacity(vc);
     }
 
-    if (kind_ == RouterKind::Buffered) {
-        gs_assert(prm.escapeVcFlits >= dataFlits &&
-                      prm.adaptiveVcFlits >= dataFlits,
-                  "VC buffers must hold a whole data packet "
-                  "(cut-through)");
-    }
+    gs_assert(prm.escapeVcFlits >= dataFlits &&
+                  prm.adaptiveVcFlits >= dataFlits,
+              "VC buffers must hold a whole data packet (cut-through)");
 }
 
 void
@@ -55,13 +51,6 @@ Router::receive(int in_port, int vc, PacketHandle h)
     // attribute their whole return to Reply, so only phase 0 hooks.
     if (pkt.span.id != 0 && pkt.span.phase == 0 && pkt.dst != id)
         pkt.span.advance(net.ctxOf(id).now(), trace::VcWait);
-    if (kind_ == RouterKind::Bufferless) {
-        // Credit flow control guarantees the latch was free: the
-        // upstream only grants with a latch credit in hand.
-        gs_assert(vc == 0 && vcQ[slot(in_port, vc)].empty(),
-                  "bufferless latch overrun at node ", id, " port ",
-                  in_port);
-    }
     core->flitsUsed[sidx(in_port, vc)] += pkt.flits;
     core->recvFlits[sidx(in_port, vc)] +=
         static_cast<std::uint64_t>(pkt.flits);
@@ -90,8 +79,6 @@ Router::creditReturn(int out_port, int vc, int flits)
 int
 Router::vcCapacity(int vc) const
 {
-    if (kind_ == RouterKind::Bufferless)
-        return vc == 0 ? 1 : 0;
     const auto &prm = net.params();
     return vc % vcSubCount == vcAdaptive ? prm.adaptiveVcFlits
                                          : prm.escapeVcFlits;
@@ -100,8 +87,6 @@ Router::vcCapacity(int vc) const
 void
 Router::syncPorts()
 {
-    gs_assert(kind_ == RouterKind::Buffered,
-              "fault injection requires the buffered router backend");
     // Any link anywhere may have changed this router's routes.
     clearRouteMemos();
     const auto &topo = net.topology();
@@ -140,11 +125,6 @@ Router::flushAll()
             }
         }
     }
-    for (PacketHandle h : sideQ_) {
-        net.dropPacket(id, h, "node-failure");
-        buffered -= 1;
-    }
-    sideQ_.clear();
     for (int cls = 0; cls < numClasses; ++cls) {
         while (!injQs[static_cast<std::size_t>(cls)].empty())
             net.dropPacket(id, popInjection(cls), "node-failure");
@@ -206,9 +186,6 @@ Router::clearStats(Tick now)
         }
     }
     injStalls.fill(0);
-    deflections_ = 0;
-    latchStalls_ = 0;
-    retreats_ = 0;
     statsWindowStart = now;
 }
 
@@ -227,8 +204,6 @@ Router::oldestBuffered(Packet &out) const
     for (const auto &q : vcQ)
         for (PacketHandle h : q)
             consider(h);
-    for (PacketHandle h : sideQ_)
-        consider(h);
     for (const auto &q : injQs)
         for (PacketHandle h : q)
             consider(h);
@@ -322,11 +297,8 @@ Router::popHead(int in_port, int vc)
     int flits = pkt.flits;
     core->flitsUsed[sidx(in_port, vc)] -= flits;
     buffered -= 1;
-    // Freed buffer space becomes a credit at our upstream neighbour:
-    // flits under buffered flow control, one latch slot under
-    // bufferless.
-    net.scheduleCredit(id, in_port, vc,
-                       kind_ == RouterKind::Bufferless ? 1 : flits);
+    // Freed buffer space becomes a credit at our upstream neighbour.
+    net.scheduleCredit(id, in_port, vc, flits);
     return h;
 }
 
@@ -514,209 +486,6 @@ Router::grant(Tick now)
     }
 }
 
-bool
-Router::portFree(int port, Tick now) const
-{
-    return core->connected[pidx(port)] != 0 &&
-           core->busyUntil[pidx(port)] <= now &&
-           core->credits[sidx(port, 0)] >= 1;
-}
-
-bool
-Router::creditBlocked(Tick now) const
-{
-    for (int p = 0; p < nPorts; ++p) {
-        if (core->connected[pidx(p)] != 0 &&
-            core->busyUntil[pidx(p)] <= now &&
-            core->credits[sidx(p, 0)] == 0)
-            return true;
-    }
-    return false;
-}
-
-int
-Router::pickBufferlessPort(const Packet &pkt, bool allow_deflect,
-                           Tick now, bool &deflected) const
-{
-    deflected = false;
-    const auto &topo = net.topology();
-    // Productive first: the lowest-indexed free minimal port. No
-    // credit-count tiebreak — latch credits are 0/1, so "free" is
-    // binary and the fixed index order keeps arbitration cheap and
-    // deterministic.
-    topo::PortSet minimal = topo.adaptivePorts(id, pkt.dst, pkt.hops);
-    for (int p : minimal)
-        if (portFree(p, now))
-            return p;
-    if (!allow_deflect)
-        return -1;
-    // Deflect: any free port will do; the packet pays the extra hops
-    // instead of waiting for a buffer it does not have.
-    for (int p = 0; p < nPorts; ++p) {
-        bool isMinimal = false;
-        for (int m : minimal)
-            isMinimal = isMinimal || m == p;
-        if (!isMinimal && portFree(p, now)) {
-            deflected = true;
-            return p;
-        }
-    }
-    return -1;
-}
-
-void
-Router::sendBufferless(PacketHandle h, int out_port, Tick now)
-{
-    const auto &topo = net.topology();
-    const auto &prm = net.params();
-    Packet &pkt = net.poolOf(id).get(h);
-
-    // Latency x-ray: same attribution as a buffered grant — the
-    // packet leaves arbitration and goes on the link here.
-    if (pkt.span.id != 0 && pkt.span.phase == 0)
-        pkt.span.advance(now, trace::Link);
-
-    auto &credit = core->credits[sidx(out_port, 0)];
-    credit -= 1;
-    gs_assert(credit >= 0, "latch credit underflow at node ", id,
-              " port ", out_port);
-    core->busyUntil[pidx(out_port)] =
-        now + static_cast<Tick>(pkt.flits) * net.period();
-    core->sentFlits[pidx(out_port)] +=
-        static_cast<std::uint64_t>(pkt.flits);
-    core->sentPackets[pidx(out_port)] += 1;
-
-    net.countLinkFlits(id, out_port, pkt.flits);
-
-    topo::Port link = topo.port(id, out_port);
-    int delay = prm.pipelineCycles + core->wireCycles[pidx(out_port)] +
-                (prm.cutThrough ? std::min(pkt.flits, headerFlits)
-                                : pkt.flits);
-    net.scheduleArrival(id, link.peer, link.peerPort, 0, h, delay);
-}
-
-void
-Router::tickBufferless(Tick now)
-{
-    PacketPool &pool = net.poolOf(id);
-
-    // Rank every resident packet — latch heads and side-buffered
-    // retreats together — oldest-first: (injection tick, packet id)
-    // plus a structural tie-break is a total order, identical no
-    // matter which engine or thread count runs this tick. Age
-    // priority is the livelock argument — the globally oldest packet
-    // outranks every rival at any router it shares a tick with, so
-    // it claims a minimal port whenever one is free and is never
-    // displaced by younger traffic.
-    ranks_.clear();
-    for (int p = 0; p < nPorts; ++p) {
-        auto &q = vcQ[slot(p, 0)];
-        if (q.empty())
-            continue;
-        const Packet &pkt = pool.get(q.front());
-        ranks_.push_back(LatchRank{pkt.injected, pkt.id, p, false, 0});
-    }
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(sideQ_.size()); ++i) {
-        const Packet &pkt = pool.get(sideQ_[i]);
-        ranks_.push_back(LatchRank{pkt.injected, pkt.id, -1, true, i});
-    }
-    std::sort(ranks_.begin(), ranks_.end(),
-              [](const LatchRank &a, const LatchRank &b) {
-                  if (a.injected != b.injected)
-                      return a.injected < b.injected;
-                  if (a.pktId != b.pktId)
-                      return a.pktId < b.pktId;
-                  // Packet ids are caller-assigned and may tie (raw
-                  // Network tests leave them 0); latches before side
-                  // slots, then the unique port / slot index, keeps
-                  // the order total.
-                  if (a.side != b.side)
-                      return !a.side;
-                  return a.side ? a.sideIdx < b.sideIdx
-                                : a.port < b.port;
-              });
-
-    bool sideSent = false;
-    for (const LatchRank &lr : ranks_) {
-        PacketHandle h = lr.side ? sideQ_[lr.sideIdx]
-                                 : vcQ[slot(lr.port, 0)].front();
-        Packet &pkt = pool.get(h);
-        bool deflected = false;
-        // Escalated packets (misroute budget spent) wait for a
-        // productive port instead of deflecting again; this caps
-        // per-packet deflections and breaks deterministic
-        // deflection orbits (file header).
-        int out = pickBufferlessPort(
-            pkt,
-            static_cast<std::uint32_t>(pkt.deflections) <
-                kDeflectionEscalation,
-            now, deflected);
-        if (out < 0) {
-            if (lr.side)
-                continue; // already out of the way; wait in place
-            if (creditBlocked(now)) {
-                // An idle output with a full downstream latch can be
-                // one edge of a cycle of latches all waiting on each
-                // other — the one deadlock this design can reach.
-                // Vacate: the packet parks in the side buffer and
-                // the freed latch credit goes upstream, so the cycle
-                // cannot close. popHead hands back the credit;
-                // residency here is unchanged.
-                popHead(lr.port, 0);
-                buffered += 1;
-                sideQ_.push_back(h);
-                retreats_ += 1;
-            } else {
-                // Every output mid-transfer: resolves by itself
-                // within one packet length; hold the latch.
-                latchStalls_ += 1;
-            }
-            continue;
-        }
-        if (deflected) {
-            deflections_ += 1;
-            pkt.deflections += 1;
-        }
-        if (lr.side) {
-            sideQ_[lr.sideIdx] = invalidHandle;
-            sideSent = true;
-            buffered -= 1;
-        } else {
-            popHead(lr.port, 0);
-        }
-        sendBufferless(h, out, now);
-    }
-    if (sideSent)
-        sideQ_.erase(std::remove(sideQ_.begin(), sideQ_.end(),
-                                 invalidHandle),
-                     sideQ_.end());
-
-    // Injection joins last and never deflects: a new packet enters
-    // the mesh only through a productive port, which bounds the work
-    // in flight and keeps sources from flooding a congested
-    // neighbourhood with guaranteed-misrouted traffic.
-    for (int k = 0; k < numClasses; ++k) {
-        int cls = (injRrClass + k) % numClasses;
-        auto &q = injQs[static_cast<std::size_t>(cls)];
-        if (q.empty())
-            continue;
-        PacketHandle h = q.front();
-        const Packet &pkt = pool.get(h);
-        bool deflected = false;
-        int out = pickBufferlessPort(pkt, /*allow_deflect=*/false, now,
-                                     deflected);
-        if (out < 0) {
-            injStalls[static_cast<std::size_t>(cls)] += 1;
-            continue;
-        }
-        popInjection(cls);
-        sendBufferless(h, out, now);
-        injRrClass = (cls + 1) % numClasses;
-        break;
-    }
-}
-
 void
 Router::tick(Tick now)
 {
@@ -725,10 +494,6 @@ Router::tick(Tick now)
     ejectPass(now);
     if (buffered == 0 && injWaiting == 0)
         return;
-    if (kind_ == RouterKind::Bufferless) {
-        tickBufferless(now);
-        return;
-    }
     nominate(now);
     if (!noms.empty())
         grant(now);
@@ -769,12 +534,6 @@ Router::saveCkpt(ckpt::Serializer &s) const
     s.put64(statsWindowStart);
     s.putI32(buffered);
     s.putI32(injWaiting);
-    s.put64(deflections_);
-    s.put64(latchStalls_);
-    s.put64(retreats_);
-    s.put32(static_cast<std::uint32_t>(sideQ_.size()));
-    for (PacketHandle h : sideQ_)
-        s.put32(h);
 }
 
 void
@@ -821,13 +580,6 @@ Router::restoreCkpt(ckpt::Deserializer &d)
     statsWindowStart = d.get64();
     buffered = d.getI32();
     injWaiting = d.getI32();
-    deflections_ = d.get64();
-    latchStalls_ = d.get64();
-    retreats_ = d.get64();
-    sideQ_.clear();
-    const std::uint32_t nSide = d.get32();
-    for (std::uint32_t i = 0; i < nSide && d.ok(); ++i)
-        sideQ_.push_back(d.get32());
 
     // Derived hot-path state is not in the snapshot: rebuild the
     // occupancy masks and the eject count from the restored queues

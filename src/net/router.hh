@@ -1,7 +1,6 @@
 /**
  * @file
- * The 21364-style router model, plus a bufferless deflection
- * (hot-potato) ablation backend.
+ * The 21364-style router model.
  *
  * Each router serves one node of the topology. Per network input
  * port it keeps one buffer per virtual channel (per message class:
@@ -22,44 +21,6 @@
  * (dimension-order with a dateline VC switch, computed by the
  * topology). Ejection always sinks, so responses drain and the
  * class separation keeps the coherence protocol deadlock-free.
- *
- * The bufferless backend (NetworkParams::routerKind ==
- * RouterKind::Bufferless) replaces the VC buffers with a one-packet
- * latch per input port: every tick, latched packets are ranked
- * oldest-first by (injection tick, packet id) and each claims a free
- * minimal output; losers are *deflected* onto any free non-minimal
- * port instead of waiting. Age-based priority makes the scheme
- * livelock-free — the globally oldest packet never loses a claim to
- * a younger one, so it makes monotonic progress and every packet
- * eventually becomes oldest. Credits still flow, but count latches
- * (packets), not flits.
- *
- * Single-cycle BLESS never blocks because every packet is reassigned
- * to some output every cycle. Multi-flit links break that guarantee
- * — an output stays busy for a packet's whole length — so latches
- * can form a cycle of full-waits-on-full. The escape hatch is a
- * *side-buffer retreat* (in the spirit of minimally-buffered
- * deflection routing): a latched head that finds an idle output with
- * no latch credit — the deadlock signature, as opposed to the
- * transient all-outputs-mid-transfer case — vacates its latch into a
- * local side buffer, returning the upstream credit and dissolving
- * the cycle. Side-buffered packets keep their age and re-enter the
- * port ranking on every tick ahead of fresh injections. See
- * docs/ROUTER.md.
- *
- * Age priority alone is also not enough for livelock freedom here:
- * in BLESS the oldest packet always finds every output assignable,
- * but with multi-flit occupancy and credit round-trips a pair of
- * packets can chase each other through a deterministic orbit, each
- * finding its productive port mid-transfer at exactly the tick it
- * arbitrates, deflecting forever. The bound is restored by
- * *escalation*: once a packet has been deflected
- * kDeflectionEscalation times it refuses further misroutes and waits
- * (in its latch or the side buffer) for a productive port. The wait
- * is finite — the only holder of that port's latch credit is a
- * packet this router itself sent, which the peer either forwards or
- * retreats within bounded ticks — so every packet's deflection count
- * is capped at the escalation threshold.
  *
  * Data layout: packets live in the Network's PacketPool for their
  * whole flight; the router buffers 4-byte handles, and every
@@ -141,37 +102,11 @@ class Router
         return injQs[static_cast<std::size_t>(cls)].size();
     }
 
-    /**
-     * Credits currently held for (out_port, vc): flits under the
-     * buffered backend, latch slots (0 or 1) under bufferless.
-     */
+    /** Flit credits currently held for (out_port, vc). */
     int creditsAvailable(int out_port, int vc) const
     {
         return core->credits[sidx(out_port, vc)];
     }
-
-    /** @name Bufferless deflection accounting (RouterKind::Bufferless) */
-    /// @{
-
-    /**
-     * Misroute budget per packet: at this many deflections a packet
-     * escalates to minimal-only routing (see the file header). The
-     * cap on Packet::deflections every delivery obeys.
-     */
-    static constexpr std::uint32_t kDeflectionEscalation = 64;
-
-    /** Packets this router sent off a minimal path. */
-    std::uint64_t deflectionsSent() const { return deflections_; }
-
-    /** Ticks a latched packet found no free output at all. */
-    std::uint64_t latchStalls() const { return latchStalls_; }
-
-    /** Latched packets that vacated into the side buffer. */
-    std::uint64_t retreats() const { return retreats_; }
-
-    /** Packets currently parked in the side buffer. */
-    std::size_t sideBufferDepth() const { return sideQ_.size(); }
-    /// @}
 
     /**
      * Register this router's per-port / per-VC stats under
@@ -196,7 +131,6 @@ class Router
      * Re-read link liveness from the topology. A newly reconnected
      * output gets fresh credits computed from the peer's current
      * buffer occupancy (credits in flight across a failure are lost).
-     * Buffered backend only.
      */
     void syncPorts();
 
@@ -260,22 +194,6 @@ class Router
         Route route; ///< chosen output
     };
 
-    /**
-     * One port-ranking contender under bufferless: an occupied latch
-     * (side == false, port = latch port) or a side-buffered packet
-     * (side == true, sideIdx = its slot). The (injected, pktId,
-     * side, port-or-slot) tuple is a total order even when packet
-     * ids tie at 0.
-     */
-    struct LatchRank
-    {
-        Tick injected;
-        std::uint64_t pktId;
-        int port;
-        bool side;
-        std::uint32_t sideIdx;
-    };
-
     /** Local queue index of (in_port, vc). */
     std::size_t
     slot(int in_port, int vc) const
@@ -312,10 +230,7 @@ class Router
     bool chooseRoute(PacketHandle h, RouteMemo &memo, Route &out,
                      bool &unroutable);
 
-    /**
-     * Buffer capacity of output VC @p vc: flits (buffered) or latch
-     * slots (bufferless, 1 for VC 0 and 0 otherwise).
-     */
+    /** Buffer capacity of output VC @p vc, in flits. */
     int vcCapacity(int vc) const;
 
     /** Eject every deliverable head packet on every input VC. */
@@ -334,32 +249,6 @@ class Router
     /** Run the global arbiters and perform the granted transfers. */
     void grant(Tick now);
 
-    /** One bufferless cycle: age-rank, claim/deflect, inject. */
-    void tickBufferless(Tick now);
-
-    /**
-     * Free output for @p pkt under deflection routing: the
-     * lowest-indexed free minimal port, else (when @p allow_deflect)
-     * the lowest-indexed free port in any direction, setting
-     * @p deflected. -1 when every output is claimed or busy.
-     */
-    int pickBufferlessPort(const Packet &pkt, bool allow_deflect,
-                           Tick now, bool &deflected) const;
-
-    /** Output @p port can accept one packet right now. */
-    bool portFree(int port, Tick now) const;
-
-    /**
-     * Some connected output is idle yet holds no latch credit — the
-     * downstream latch is full while the link sits silent. This is
-     * the deadlock-cycle signature a blocked latch head retreats on;
-     * all-outputs-mid-transfer resolves by itself and is not it.
-     */
-    bool creditBlocked(Tick now) const;
-
-    /** Put @p h on output @p out_port (bufferless transfer tail). */
-    void sendBufferless(PacketHandle h, int out_port, Tick now);
-
     /** Pop the head of an input VC, returning upstream credits. */
     PacketHandle popHead(int in_port, int vc);
 
@@ -375,7 +264,6 @@ class Router
     std::uint32_t pb = 0; ///< per-port base (core->ref(id).portBase)
     std::uint32_t sb = 0; ///< per-slot base (core->ref(id).slotBase)
     int nPorts = 0;
-    RouterKind kind_ = RouterKind::Buffered;
 
     std::vector<HandleQueue> vcQ; ///< buffered packets, slot()-indexed
     std::array<HandleQueue, numClasses> injQs;
@@ -392,18 +280,10 @@ class Router
     int injRrClass = 0;
     Tick statsWindowStart = 0; ///< busy-fraction window origin
 
-    int buffered = 0;   ///< packets resident here (latches + side)
+    int buffered = 0;   ///< packets resident in the input VCs
     int injWaiting = 0; ///< packets waiting in injection queues
 
-    std::uint64_t deflections_ = 0; ///< bufferless: misroutes sent
-    std::uint64_t latchStalls_ = 0; ///< bufferless: all-ports-busy ticks
-    std::uint64_t retreats_ = 0;    ///< bufferless: latch -> side moves
-
-    /** Bufferless side buffer: retreated packets awaiting a port. */
-    std::vector<PacketHandle> sideQ_;
-
-    std::vector<Nominee> noms;     ///< per-tick scratch (buffered)
-    std::vector<LatchRank> ranks_; ///< per-tick scratch (bufferless)
+    std::vector<Nominee> noms; ///< per-tick scratch
 };
 
 } // namespace gs::net

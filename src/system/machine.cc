@@ -97,7 +97,6 @@ Machine::buildGS1280(int cpus, Gs1280Options opt)
     m->striped_ = opt.striped;
     m->shuffle_ = opt.shuffle;
     m->shufflePolicy_ = static_cast<int>(opt.shufflePolicy);
-    m->routerKind_ = static_cast<int>(opt.routerKind);
 
     const int d = opt.depth;
     gs_assert(d == 1 || opt.width > 0,
@@ -130,9 +129,7 @@ Machine::buildGS1280(int cpus, Gs1280Options opt)
         m->map = std::make_unique<mem::NodeOwnedMap>();
     }
 
-    net::NetworkParams np = net::NetworkParams::gs1280();
-    np.routerKind = opt.routerKind;
-    m->buildFabric(np);
+    m->buildFabric(net::NetworkParams::gs1280());
 
     // Parallel decomposition: the torus is cut into R x C x S box
     // tiles, one domain per tile. The shape comes from

@@ -99,14 +99,6 @@ struct Gs1280Options
      * traces every miss.
      */
     double spanSampleRate = 0.0;
-    /**
-     * Router backend (docs/ROUTER.md): the EV7 buffered adaptive-VC
-     * design (default) or the bufferless deflection ablation
-     * (--router=bufferless in the benches). Part of the machine's
-     * deterministic identity; recorded in snapshots and checked at
-     * restore.
-     */
-    net::RouterKind routerKind = net::RouterKind::Buffered;
 };
 
 /** The standard torus shape for @p cpus (2x1, 2x2, 4x2, ... 8x8). */
@@ -402,7 +394,6 @@ class Machine
     int shufflePolicy_ = 0;
     int tileR_ = 1, tileC_ = 1; ///< engine decomposition (1x1 = serial)
     int tileS_ = 1;      ///< Z cut of the tiling (1 on 2-D machines)
-    int routerKind_ = 0; ///< net::RouterKind as built
     int topoKind_ = 0;   ///< 0 = 2-D torus/tree fabrics, 1 = 3-D torus
     /// @}
 

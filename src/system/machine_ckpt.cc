@@ -177,7 +177,6 @@ Machine::save(const std::string &path, std::string *err)
     s.putI32(topo_->numNodes());
     s.putI32(tileR_);
     s.putI32(tileC_);
-    s.putI32(routerKind_);
     s.putI32(topoKind_);
     s.putI32(torusD);
     s.putI32(tileS_);
@@ -371,7 +370,6 @@ Machine::restore(const std::string &path,
     check(d.getI32(), topo_->numNodes(), "the node count");
     check(d.getI32(), tileR_, "the tile rows");
     check(d.getI32(), tileC_, "the tile cols");
-    check(d.getI32(), routerKind_, "the router backend");
     check(d.getI32(), topoKind_, "the topology kind");
     check(d.getI32(), torusD, "the torus depth");
     check(d.getI32(), tileS_, "the tile slabs");

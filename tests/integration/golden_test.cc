@@ -254,64 +254,46 @@ TEST(Golden, FixedSeedSimulation)
 }
 
 // ---------------------------------------------------------------
-// Router-backend ablation (bench/ablate_router.cpp in miniature):
-// the same fixed-seed load test on both router backends. Pins the
-// buffered numbers (which must not move under router refactors —
-// the SoA rework shipped against this file) and the bufferless
-// deflection behaviour (misroute counts, the escalation cap).
+// Router load test (the Figure 15 load test in miniature): a
+// fixed-seed 8P random-remote-read run at two outstanding-request
+// depths. Pins the router's bandwidth and latency, which must not
+// move under router refactors — the SoA rework shipped against this
+// file.
 // ---------------------------------------------------------------
 
-TEST(Golden, AblateRouterBackends)
+TEST(Golden, RouterLoadTest)
 {
     const std::uint64_t masterSeed = 1;
     const std::uint64_t reads = 200;
     std::ostringstream os;
-    Table t({"backend", "mlp", "bandwidth MB/s", "latency ns",
-             "deflects", "max/pkt", "retreats"});
-    for (net::RouterKind kind :
-         {net::RouterKind::Buffered, net::RouterKind::Bufferless}) {
-        for (int mlp : {2, 8}) {
-            sys::Gs1280Options opt;
-            opt.mlp = mlp;
-            opt.routerKind = kind;
-            auto m = sys::Machine::buildGS1280(8, opt);
+    Table t({"mlp", "bandwidth MB/s", "latency ns"});
+    for (int mlp : {2, 8}) {
+        sys::Gs1280Options opt;
+        opt.mlp = mlp;
+        auto m = sys::Machine::buildGS1280(8, opt);
 
-            std::vector<std::unique_ptr<wl::RandomRemoteReads>> gens;
-            std::vector<cpu::TrafficSource *> sources;
-            for (int c = 0; c < 8; ++c) {
-                gens.push_back(
-                    std::make_unique<wl::RandomRemoteReads>(
-                        static_cast<NodeId>(c), 8, 8ULL << 20, reads,
-                        Rng::deriveSeed(
-                            masterSeed,
-                            static_cast<std::uint64_t>(c))));
-                sources.push_back(gens.back().get());
-            }
-            Tick start = m->ctx().now();
-            ASSERT_TRUE(m->run(sources, 20000 * tickMs));
-            double ns = ticksToNs(m->ctx().now() - start);
-
-            double bytes = 8.0 * static_cast<double>(reads) * 64.0;
-            double lat = 0;
-            for (int c = 0; c < 8; ++c)
-                lat += m->node(c).stats().missLatencyNs.mean();
-
-            const telem::Registry &reg = m->telemetry();
-            auto count = [&reg](const char *path) {
-                return Table::num(static_cast<std::uint64_t>(
-                    reg.value(path)));
-            };
-            const bool bl = kind == net::RouterKind::Bufferless;
-            t.addRow({net::routerKindName(kind), Table::num(mlp),
-                      Table::num(bytes / ns * 1000.0, 3),
-                      Table::num(lat / 8, 3),
-                      bl ? count("net.deflect.count") : "-",
-                      bl ? count("net.deflect.max_per_packet") : "-",
-                      bl ? count("net.deflect.retreats") : "-"});
+        std::vector<std::unique_ptr<wl::RandomRemoteReads>> gens;
+        std::vector<cpu::TrafficSource *> sources;
+        for (int c = 0; c < 8; ++c) {
+            gens.push_back(std::make_unique<wl::RandomRemoteReads>(
+                static_cast<NodeId>(c), 8, 8ULL << 20, reads,
+                Rng::deriveSeed(masterSeed,
+                                static_cast<std::uint64_t>(c))));
+            sources.push_back(gens.back().get());
         }
+        Tick start = m->ctx().now();
+        ASSERT_TRUE(m->run(sources, 20000 * tickMs));
+        double ns = ticksToNs(m->ctx().now() - start);
+
+        double bytes = 8.0 * static_cast<double>(reads) * 64.0;
+        double lat = 0;
+        for (int c = 0; c < 8; ++c)
+            lat += m->node(c).stats().missLatencyNs.mean();
+        t.addRow({Table::num(mlp), Table::num(bytes / ns * 1000.0, 3),
+                  Table::num(lat / 8, 3)});
     }
     t.print(os);
-    checkGolden("ablate_router.txt", os.str());
+    checkGolden("router_load_test.txt", os.str());
 }
 
 // The golden file pins the output against history; this pins it

@@ -185,7 +185,6 @@ expectIdenticalFabrics(std::uint64_t seed, MakeTopo make_topo)
         for (int c = 0; c < numClasses; ++c) {
             auto cls = static_cast<MsgClass>(c);
             EXPECT_EQ(ra.injQueueDepth(cls), rb.injQueueDepth(cls));
-            EXPECT_EQ(ra.deflectionsSent(), 0u); // buffered never
         }
     }
 }

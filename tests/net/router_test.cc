@@ -178,10 +178,9 @@ TEST(Router, VcOccupancyVisible)
 }
 
 // The introspection the tests above rely on — occupancy, queue
-// depths, credit counts, deflection accounting — is deliberately
-// public Router API (tests/net/router_ab_test.cc leans on the same
-// surface to prove the SoA refactor bit-identical). The two tests
-// below pin its contracts.
+// depths, credit counts — is deliberately public Router API
+// (tests/net/router_ab_test.cc leans on the same surface to prove the
+// SoA refactor bit-identical). The test below pins its contract.
 
 TEST(Router, CreditsConservedAcrossTraffic)
 {
@@ -217,26 +216,6 @@ TEST(Router, CreditsConservedAcrossTraffic)
             for (int vc = 0; vc < numVcs; ++vc)
                 after.push_back(f.net.router(n).creditsAvailable(p, vc));
     EXPECT_EQ(before, after);
-}
-
-TEST(Router, DeflectionAccountingSilentOnBufferedBackend)
-{
-    // The net.deflect.* surface is gated on the bufferless backend;
-    // the accessors backing it must stay zero under buffered traffic
-    // so the gating (and buffered golden exports) cannot drift.
-    RouterFixture f;
-    int got = 0;
-    f.net.setHandler(3, [&](const Packet &) { got += 1; });
-    for (int i = 0; i < 200; ++i)
-        f.net.inject(f.pkt(0, 3, MsgClass::BlockResponse, dataFlits));
-    f.ctx.queue().runUntil(50 * tickMs);
-    ASSERT_EQ(got, 200);
-    for (NodeId n = 0; n < 4; ++n) {
-        EXPECT_EQ(f.net.router(n).deflectionsSent(), 0u);
-        EXPECT_EQ(f.net.router(n).latchStalls(), 0u);
-        EXPECT_EQ(f.net.router(n).retreats(), 0u);
-        EXPECT_EQ(f.net.router(n).sideBufferDepth(), 0u);
-    }
 }
 
 } // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "net/router.hh"
 #include "net/synthetic.hh"
 #include "topology/torus.hh"
 
@@ -147,52 +146,6 @@ TEST(Synthetic, StoreAndForwardIsSlower)
     EXPECT_TRUE(ct.drained);
     EXPECT_TRUE(sf.drained);
     EXPECT_GT(sf.avgLatencyNs, 1.1 * ct.avgLatencyNs);
-}
-
-TEST(Synthetic, BufferlessBackendRunsThePatterns)
-{
-    // The deflection backend under the same harness: everything
-    // injected during the measurement window drains, and no
-    // delivered packet exceeded its misroute budget (the escalation
-    // cap is the livelock argument, so it is asserted wherever
-    // bufferless traffic flows).
-    NetworkParams p = NetworkParams::gs1280();
-    p.routerKind = RouterKind::Bufferless;
-    for (TrafficPattern pat : {TrafficPattern::UniformRandom,
-                               TrafficPattern::Transpose,
-                               TrafficPattern::HotSpot}) {
-        SynFixture f(4, 4, p);
-        SyntheticConfig cfg;
-        cfg.pattern = pat;
-        cfg.injectionRate = 0.05;
-        cfg.measureCycles = 4000;
-        auto r = runSynthetic(f.ctx, f.net, cfg);
-        EXPECT_TRUE(r.drained);
-        EXPECT_GT(r.measuredPackets, 100u);
-        EXPECT_LE(f.net.stats().maxDeflections,
-                  Router::kDeflectionEscalation);
-    }
-}
-
-TEST(Synthetic, BufferlessSaturatesBelowBuffered)
-{
-    // At saturation the deflection fabric wastes cross-section
-    // bandwidth on misroutes; accepted throughput must trail the
-    // buffered backend's (the ablation's headline effect, kept
-    // honest at unit-test scale).
-    auto measure = [](RouterKind kind) {
-        NetworkParams p = NetworkParams::gs1280();
-        p.routerKind = kind;
-        SynFixture f(4, 4, p);
-        SyntheticConfig cfg;
-        cfg.injectionRate = 0.5;
-        cfg.measureCycles = 4000;
-        return runSynthetic(f.ctx, f.net, cfg);
-    };
-    auto buffered = measure(RouterKind::Buffered);
-    auto bufferless = measure(RouterKind::Bufferless);
-    EXPECT_LT(bufferless.acceptedFlitsPerNodeCycle,
-              buffered.acceptedFlitsPerNodeCycle);
 }
 
 TEST(Synthetic, DeterministicAcrossRuns)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../../bench/common.hh"
 #include "sim/args.hh"
 
 namespace
@@ -10,13 +11,15 @@ namespace
 using gs::Args;
 
 Args
-parse(std::initializer_list<const char *> argv_list)
+parse(std::initializer_list<const char *> argv_list,
+      std::map<std::string, std::string> known = {})
 {
     std::vector<char *> argv;
     argv.push_back(const_cast<char *>("prog"));
     for (const char *a : argv_list)
         argv.push_back(const_cast<char *>(a));
-    return Args(static_cast<int>(argv.size()), argv.data());
+    return Args(static_cast<int>(argv.size()), argv.data(),
+                std::move(known));
 }
 
 TEST(Args, ParsesKeyValue)
@@ -90,6 +93,18 @@ TEST(Args, TrailingGarbageIsFatal)
     EXPECT_EXIT(parse({"--frac", "0.5s"}).getDouble("frac", 0),
                 ::testing::ExitedWithCode(1),
                 "option --frac expects a number, got '0.5s'");
+}
+
+TEST(Args, RemovedRouterOptionIsFatal)
+{
+    // The bench option sets (here fig23_gups's) no longer register
+    // --router: an old command line fails instead of silently running
+    // the default router.
+    auto known = gs::bench::withCheckpointArgs(
+        gs::bench::withTelemetryArgs(gs::bench::withSweepArgs(
+            {{"updates", "updates per CPU"}})));
+    EXPECT_EXIT(parse({"--router=buffered"}, known),
+                ::testing::ExitedWithCode(1), "unknown option --router");
 }
 
 TEST(Args, OutOfRangeIntIsFatal)
