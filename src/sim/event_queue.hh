@@ -115,6 +115,23 @@ class EventQueue
 
     /** Callback slots the slab owns (grows with pending, never shrinks). */
     std::size_t slabSlots() const { return slab.size(); }
+
+    /**
+     * Host bytes the calendar holds: the key capacity of the buckets,
+     * the spare stacks and the overflow heap, plus the slab.
+     */
+    std::size_t
+    storageBytes() const
+    {
+        std::size_t keys = heap.capacity();
+        for (const auto &b : buckets)
+            keys += b.keys.capacity();
+        for (const auto &s : spares)
+            keys += s.capacity();
+        for (const auto &s : smallSpares)
+            keys += s.capacity();
+        return keys * sizeof(Key) + slab.capacity() * sizeof(Payload);
+    }
     /// @}
 
     /**
@@ -308,8 +325,7 @@ class EventQueue
         for (auto &b : buckets) {
             for (std::size_t i = b.head; i < b.keys.size(); ++i)
                 drop(b.keys[i]);
-            b.keys.clear();
-            b.head = 0;
+            drained(b);
             b.sorted = false;
         }
         for (const Key &k : heap)
@@ -333,14 +349,14 @@ class EventQueue
      * Pre-size every ring bucket to hold @p perBucket keys, and the
      * slab to perBucket * 128 callback slots.
      *
-     * Bucket storage grows on first touch and then persists, but the
-     * tick grid and the bucket ring have co-prime periods, so a
-     * sparse workload can keep first-touching fresh buckets many
-     * ring laps into a run. A queue whose steady state must be
-     * allocation-free — every parallel-engine domain queue — calls
-     * this once at construction instead (8 * 24-byte keys per bucket
-     * plus 1024 * 128-byte slots = 320 KiB per queue; serial
-     * contexts skip it).
+     * Bucket storage grows on first touch and then persists (up to
+     * keepKeys; see Bucket), but the tick grid and the bucket ring
+     * have co-prime periods, so a sparse workload can keep
+     * first-touching fresh buckets many ring laps into a run. A
+     * queue whose steady state must be allocation-free — every
+     * parallel-engine domain queue — calls this once at construction
+     * instead (8 * 24-byte keys per bucket plus 1024 * 128-byte
+     * slots = 320 KiB per queue; serial contexts skip it).
      */
     void
     prewarm(std::size_t perBucket = 8)
@@ -434,6 +450,13 @@ class EventQueue
     static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
 
     /**
+     * Key capacity a drained bucket keeps in place; storage above it
+     * goes on the spare stack (see Bucket). The doubling growth from
+     * prewarm's default of 8 reaches exactly this size.
+     */
+    static constexpr std::size_t keepKeys = 64;
+
+    /**
      * What buckets and the overflow heap order: the (when, seq) fire
      * key plus the slab slot holding the event's payload. Trivially
      * copyable, so every reordering is a memmove. `slot` is 64 bits
@@ -479,8 +502,14 @@ class EventQueue
      * `head` indexes the next unfired key of the current bucket;
      * consumed keys stay below it (insertLive may reuse that room)
      * until the bucket drains and the array is cleared (O(1): keys
-     * are trivially destructible, and capacity is kept so warm
-     * buckets never re-allocate).
+     * are trivially destructible).
+     *
+     * A drained bucket keeps up to keepKeys of capacity, so warm
+     * buckets never re-allocate. Larger storage goes on the queue's
+     * spare stack, and a bucket that fills keepKeys takes a larger
+     * spare before it grows its own, so key storage follows the
+     * buckets pending at once, not the largest load each of the
+     * ring's buckets ever saw (see docs/EVENT_KERNEL.md).
      */
     struct Bucket
     {
@@ -600,8 +629,73 @@ class EventQueue
                 return;
             }
         }
-        b->keys.push_back(k);
+        append(*b, k);
         ringCount += 1;
+    }
+
+    /** Append @p k to @p b, trading for spare storage when full. */
+    [[gnu::always_inline]] void
+    append(Bucket &b, const Key &k)
+    {
+        if (b.keys.size() == b.keys.capacity()) [[unlikely]]
+            growBucket(b);
+        b.keys.push_back(k);
+    }
+
+    /**
+     * Make room for one more key in full bucket @p b. Below keepKeys
+     * the array doubles as push_back would. At or above it, the
+     * bucket first trades its storage for the larger spare on top of
+     * the stack: its own keepKeys-sized storage goes on the small
+     * stack (drained() hands it back), outgrown spare storage stays
+     * on the spare stack. Only with no larger spare on top does the
+     * array reallocate.
+     */
+    [[gnu::noinline]] void
+    growBucket(Bucket &b)
+    {
+        const std::size_t cap = b.keys.capacity();
+        if (cap < keepKeys || spares.empty() ||
+            spares.back().capacity() <= cap) {
+            b.keys.reserve(cap ? 2 * cap : 1);
+            return;
+        }
+        std::vector<Key> &s = spares.back();
+        s.assign(b.keys.begin(), b.keys.end());
+        b.keys.swap(s);
+        s.clear();
+        if (s.capacity() <= keepKeys) {
+            smallSpares.push_back(std::move(s));
+            spares.pop_back();
+        }
+    }
+
+    /**
+     * Empty drained bucket @p b in O(1). Storage above keepKeys goes
+     * on the spare stack (out of line: only a bucket that outgrew
+     * keepKeys pays for it).
+     */
+    [[gnu::always_inline]] void
+    drained(Bucket &b)
+    {
+        b.keys.clear();
+        b.head = 0;
+        if (b.keys.capacity() > keepKeys) [[unlikely]]
+            shelve(b);
+    }
+
+    /** Swap @p b's large storage for small storage (see drained). */
+    [[gnu::noinline]] void
+    shelve(Bucket &b)
+    {
+        spares.emplace_back();
+        spares.back().swap(b.keys);
+        if (!smallSpares.empty()) {
+            b.keys.swap(smallSpares.back());
+            smallSpares.pop_back();
+        } else {
+            b.keys.reserve(keepKeys);
+        }
     }
 
     /** Park @p k in the overflow heap (out of line: see growSlab). */
@@ -620,7 +714,7 @@ class EventQueue
      * slot instead of the tail shifting up (on perfbench's gups2048,
      * 250 M keys moved instead of 369.5 M).
      */
-    [[gnu::noinline]] static void
+    [[gnu::noinline]] void
     insertLive(Bucket &b, const Key &k)
     {
         Key *first = b.keys.data() + b.head;
@@ -633,7 +727,10 @@ class EventQueue
             pos[-1] = k;
             b.head -= 1;
         } else {
-            b.keys.insert(b.keys.begin() + (pos - b.keys.data()), k);
+            const std::ptrdiff_t at = pos - b.keys.data();
+            if (b.keys.size() == b.keys.capacity())
+                growBucket(b);
+            b.keys.insert(b.keys.begin() + at, k);
         }
     }
 
@@ -653,10 +750,8 @@ class EventQueue
                     sortBucket(b);
                 return true;
             }
-            if (b.head != 0) {
-                b.keys.clear(); // capacity kept: warm buckets stay warm
-                b.head = 0;
-            }
+            if (b.head != 0)
+                drained(b);
             if (ringCount == 0) {
                 if (heap.empty())
                     return false;
@@ -690,7 +785,7 @@ class EventQueue
             const Key k = heap.back();
             heap.pop_back();
             Bucket &b = buckets[bucketIndex(k.when)];
-            b.keys.push_back(k);
+            append(b, k);
             b.sorted = false;
             ringCount += 1;
             migrated += 1;
@@ -705,8 +800,7 @@ class EventQueue
             heap.insert(heap.end(),
                         b.keys.begin() + static_cast<std::ptrdiff_t>(b.head),
                         b.keys.end());
-            b.keys.clear();
-            b.head = 0;
+            drained(b);
             b.sorted = false;
         }
         std::make_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -732,10 +826,8 @@ class EventQueue
         Bucket &b = *curb;
         const Key k = b.keys[b.head];
         b.head += 1;
-        if (b.head == b.keys.size()) {
-            b.keys.clear();
-            b.head = 0;
-        }
+        if (b.head == b.keys.size())
+            drained(b);
         ringCount -= 1;
         pendingCnt -= 1;
         curTick = k.when;
@@ -769,6 +861,10 @@ class EventQueue
     }
 
     std::array<Bucket, bucketCount> buckets;
+    // Bucket storage between loads (growBucket, shelve): larger than
+    // keepKeys on `spares`, exactly keepKeys on `smallSpares`.
+    std::vector<std::vector<Key>> spares;
+    std::vector<std::vector<Key>> smallSpares;
     // Overflow min-heap, kept as a raw vector + std::push_heap /
     // std::pop_heap (same complexity as std::priority_queue) so that
     // checkpointing can iterate the parked keys.

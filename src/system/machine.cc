@@ -458,7 +458,9 @@ Machine::registerTelemetry()
     // the far-future heap; a healthy steady state keeps overflow
     // near zero. Parallel machines sum the per-domain queues
     // (peak_pending sums per-domain peaks, an upper bound on the
-    // instantaneous machine-wide peak).
+    // instantaneous machine-wide peak). `storage_bytes` is the
+    // calendar's host footprint, wall-clock shaped like
+    // mem.model_bytes and so kept out of exports.
     if (par_) {
         ParallelEngine *pe = par_.get();
         auto sumQ = [pe](auto probe) {
@@ -488,6 +490,11 @@ Machine::registerTelemetry()
         telemetry_.addGauge("eq.overflow", [sumQ] {
             return sumQ([](const EventQueue &q) {
                 return q.overflowPending();
+            });
+        });
+        telemetry_.addWallClockGauge("eq.storage_bytes", [sumQ] {
+            return sumQ([](const EventQueue &q) {
+                return q.storageBytes();
             });
         });
 
@@ -547,6 +554,9 @@ Machine::registerTelemetry()
         });
         telemetry_.addGauge("eq.overflow", [ctxp] {
             return static_cast<double>(ctxp->queue().overflowPending());
+        });
+        telemetry_.addWallClockGauge("eq.storage_bytes", [ctxp] {
+            return static_cast<double>(ctxp->queue().storageBytes());
         });
     }
 

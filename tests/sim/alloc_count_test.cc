@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "coherence/node.hh"
+#include "dense_load.hh"
 #include "mem/address.hh"
 #include "net/network.hh"
 #include "net/packet.hh"
@@ -173,6 +174,28 @@ TEST(AllocCount, WarmBurstSchedulingAllocatesNothing)
     EXPECT_EQ(delta, 0u);
 #endif
     EXPECT_EQ(fired, warmFired + 64u * 100u);
+}
+
+/**
+ * A dense load (~640 keys per bucket, at most six buckets pending)
+ * trades bucket storage with the spare stack instead of growing it:
+ * after one warm lap of the ring, two more laps allocate nothing.
+ */
+TEST(AllocCount, DenseLoadAllocatesNothingAfterOneLap)
+{
+    gs::test::DenseLoad<EventQueue> load;
+    load.q.runUntil(EventQueue::horizon);
+    const std::uint64_t firedWarm = load.fires;
+    const std::uint64_t delta = allocsDuring([&] {
+        load.q.runUntil(3 * EventQueue::horizon);
+    });
+    EXPECT_GT(load.fires - firedWarm, 2u * 1024u * 500u);
+
+#ifdef GS_SANITIZE
+    GTEST_SKIP() << "sanitizer build; counted " << delta;
+#else
+    EXPECT_EQ(delta, 0u) << "dense load allocated after a warm lap";
+#endif
 }
 
 TEST(AllocCount, WarmPacketPoolAllocatesNothing)

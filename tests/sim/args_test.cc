@@ -107,6 +107,18 @@ TEST(Args, RemovedRouterOptionIsFatal)
                 ::testing::ExitedWithCode(1), "unknown option --router");
 }
 
+TEST(Args, SummaryBenchTakesSweepOptions)
+{
+    // fig28_summary's option set: its rows run as sweep points, so
+    // --jobs and --seed parse like every other figure bench's.
+    auto known = gs::bench::withSweepArgs(
+        {{"fast", "skip the 32P simulations"}});
+    Args a = parse({"--jobs", "4", "--fast"}, known);
+    EXPECT_TRUE(a.getBool("fast", false));
+    EXPECT_EQ(gs::bench::makeRunner(a).jobs(), 4);
+    EXPECT_EQ(gs::bench::makeRunner(parse({"--jobs=1"}, known)).jobs(), 1);
+}
+
 TEST(Args, OutOfRangeIntIsFatal)
 {
     EXPECT_EXIT(parse({"--seed=99999999999999999999"}).getInt("seed", 1),

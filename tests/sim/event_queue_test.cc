@@ -6,9 +6,12 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <tuple>
 #include <vector>
 
+#include "dense_load.hh"
+#include "legacy_event_queue.hh"
 #include "sim/checkpoint.hh"
 #include "sim/event_queue.hh"
 
@@ -607,6 +610,100 @@ TEST(EventQueueSlab, VisitPendingReportsEachEventOnce)
     for (std::size_t i = 0; i < expect.size(); ++i)
         ASSERT_EQ(fireLog[before + i], expect[i].second) << "fire " << i;
     EXPECT_TRUE(live.empty());
+}
+
+/**
+ * Bucket storage follows the buckets pending at once. The dense load
+ * puts ~640 keys in every bucket over three ring laps but never has
+ * more than six buckets pending, so drained buckets hand their large
+ * storage to the spare stack and later buckets reuse it. A queue
+ * whose 1024 buckets each kept their largest load would hold at
+ * least 1024 * 640 * 24 B = 15.7 MB of keys.
+ */
+TEST(EventQueueStorage, DenseLoadRecyclesBucketStorage)
+{
+    gs::test::DenseLoad<EventQueue> load;
+    const Tick w = EventQueue::bucketWidth;
+    const Tick end = 3 * EventQueue::horizon;
+    std::size_t maxBytes = 0, maxBuckets = 0;
+    for (Tick t = w; t <= end; t += w) {
+        load.q.runUntil(t);
+        maxBytes = std::max(maxBytes, load.q.storageBytes());
+        if ((t / w) % 16 != 0)
+            continue;
+        std::set<Tick> live;
+        load.q.visitPending([&](Tick when, std::uint64_t,
+                                const gs::ckpt::EventDesc &) {
+            live.insert(when >> EventQueue::bucketBits);
+        });
+        maxBuckets = std::max(maxBuckets, live.size());
+    }
+    // The first windows fill while the tokens spread out.
+    const auto full = load.perWindow.begin() + 6;
+    EXPECT_GE(*std::min_element(full, load.perWindow.end()), 500u);
+    EXPECT_LE(maxBuckets, 8u);
+    EXPECT_EQ(load.q.pending(), gs::test::DenseLoad<EventQueue>::tokens);
+    // 1.5 MiB of 64-key drained buckets, the 2048-slot slab and a
+    // handful of 1024-key arrays in use or on the spare stack.
+    EXPECT_LT(maxBytes, std::size_t(4) << 20);
+    EXPECT_GT(maxBytes, std::size_t(1) << 20);
+}
+
+/** The dense load fires in exactly the legacy heap's order. */
+TEST(EventQueueStorage, DenseLoadFiresInLegacyHeapOrder)
+{
+    gs::test::DenseLoad<EventQueue> cal;
+    gs::test::DenseLoad<gs::test::LegacyEventQueue> heap;
+    const Tick end = 3 * EventQueue::horizon;
+    cal.q.runUntil(end);
+    heap.q.runUntil(end);
+    EXPECT_EQ(cal.perWindow, heap.perWindow);
+    EXPECT_EQ(cal.fires, heap.fires);
+    EXPECT_EQ(cal.digest, heap.digest);
+    EXPECT_EQ(cal.q.now(), heap.q.now());
+    EXPECT_EQ(cal.q.firedCount(), heap.q.firedCount());
+    EXPECT_EQ(cal.q.peakPending(), heap.q.peakPending());
+}
+
+/**
+ * A visitPending/restore round trip in the middle of the dense load,
+ * after buckets have traded storage with the spare stack, continues
+ * exactly as the uninterrupted run.
+ */
+TEST(EventQueueStorage, RestoreRoundTripOverRecycledStorage)
+{
+    using Saved = std::tuple<Tick, std::uint64_t, gs::ckpt::EventDesc>;
+    gs::test::DenseLoad<EventQueue> ref, cut;
+    const Tick mid = EventQueue::horizon + EventQueue::horizon / 2 + 123;
+    const Tick end = 3 * EventQueue::horizon;
+    cut.q.runUntil(mid);
+
+    std::vector<Saved> saved;
+    cut.q.visitPending([&](Tick when, std::uint64_t seq,
+                           const gs::ckpt::EventDesc &d) {
+        saved.emplace_back(when, seq, d);
+    });
+    ASSERT_EQ(saved.size(), cut.q.pending());
+    std::sort(saved.begin(), saved.end(),
+              [](const Saved &a, const Saved &b) {
+                  return std::tie(std::get<0>(a), std::get<1>(a)) <
+                         std::tie(std::get<0>(b), std::get<1>(b));
+              });
+    cut.q.restoreBegin(cut.q.ckptState());
+    EXPECT_TRUE(cut.q.empty());
+    for (const auto &[when, seq, d] : saved) {
+        const auto id = static_cast<std::uint32_t>(d.u);
+        cut.q.insertRestored(when, seq, d, [&cut, id] { cut.fire(id); });
+    }
+
+    ref.q.runUntil(end);
+    cut.q.runUntil(end);
+    EXPECT_EQ(cut.perWindow, ref.perWindow);
+    EXPECT_EQ(cut.fires, ref.fires);
+    EXPECT_EQ(cut.digest, ref.digest);
+    EXPECT_EQ(cut.q.now(), ref.q.now());
+    EXPECT_EQ(cut.q.firedCount(), ref.q.firedCount());
+    EXPECT_EQ(cut.q.pending(), ref.q.pending());
 }
 
 } // namespace
