@@ -48,6 +48,18 @@ withSweepArgs(std::map<std::string, std::string> known = {})
                           "threads; 1 = serial)");
     known.emplace("seed", "master seed for per-point RNG streams "
                           "(default 1)");
+    return known;
+}
+
+/**
+ * Register the parallel-engine options. Only benches that pass
+ * machineThreads() and applyTileShape() into their build options
+ * register these, so a serial-only bench rejects --threads instead
+ * of silently running the serial engine.
+ */
+inline std::map<std::string, std::string>
+withEngineArgs(std::map<std::string, std::string> known = {})
+{
     known.emplace("threads", "worker threads per simulated machine "
                              "(default 1 = serial engine; results "
                              "are bit-identical at any value for a "
@@ -158,7 +170,8 @@ withTelemetryArgs(std::map<std::string, std::string> known = {})
     known.emplace("sample-interval", "time-series sampling cadence in "
                                      "simulated ns (default 1000)");
     known.emplace("verbose", "print simulator self-metrics (events "
-                             "fired, events/s, peak queue) to stderr");
+                             "fired, events/s, peak queue, event and "
+                             "model memory) to stderr");
     known.emplace("trace-sample",
                   "latency x-ray: sample this fraction of coherence "
                   "misses for per-stage span tracing (0..1, default 0 "
@@ -331,6 +344,10 @@ class TelemetrySession
                       << " allocated, peak in use "
                       << count("net.packet_pool.peak_in_use")
                       << "\n";
+            std::cerr << "# self: event storage "
+                      << count("eq.storage_bytes")
+                      << " bytes, model memory "
+                      << count("mem.model_bytes") << " bytes\n";
             if (machine.isParallel()) {
                 std::cerr << "# self: parallel "
                           << count("par.domains") << " domains, "

@@ -30,8 +30,9 @@ main(int argc, char **argv)
     using namespace gs;
     Args args(
         argc, argv,
-        bench::withTelemetryArgs(bench::withSweepArgs(
-            {{"loads", "loads per probe (default 3000)"}})));
+        bench::withTelemetryArgs(bench::withEngineArgs(
+            bench::withSweepArgs(
+                {{"loads", "loads per probe (default 3000)"}}))));
     auto loads =
         static_cast<std::uint64_t>(args.getInt("loads", 3000));
 

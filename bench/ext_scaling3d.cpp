@@ -66,13 +66,13 @@ main(int argc, char **argv)
     using namespace gs;
     Args args(
         argc, argv,
-        bench::withSweepArgs(
+        bench::withEngineArgs(bench::withSweepArgs(
             {{"loads", "dependent loads per probe (default 1200)"},
              {"gups-updates",
               "also run a 3-D GUPS with this many updates per CPU "
               "and print aggregate stats (default 0 = off)"},
              {"gups-shape",
-              "XxYxZ shape of the GUPS machine (default 8x8x8)"}}));
+              "XxYxZ shape of the GUPS machine (default 8x8x8)"}})));
     auto loads = static_cast<std::uint64_t>(args.getInt("loads", 1200));
     int threads = bench::machineThreads(args);
     auto runner = bench::makeRunner(args);

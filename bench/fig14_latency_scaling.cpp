@@ -35,8 +35,8 @@ main(int argc, char **argv)
     using namespace gs;
     Args args(argc, argv,
               bench::withCheckpointArgs(bench::withTelemetryArgs(
-                  bench::withSweepArgs(
-                      {{"loads", "loads per probe (default 3000)"}}))));
+                  bench::withEngineArgs(bench::withSweepArgs(
+                      {{"loads", "loads per probe (default 3000)"}})))));
     auto loads = static_cast<std::uint64_t>(args.getInt("loads", 3000));
     int threads = bench::machineThreads(args);
     auto runner = bench::makeRunner(args);

@@ -46,9 +46,10 @@ main(int argc, char **argv)
     using namespace gs;
     Args args(argc, argv,
               bench::withCheckpointArgs(
-                  bench::withTelemetryArgs(bench::withSweepArgs(
-                      {{"updates", "updates per CPU (default 1500)"},
-                       {"full", "include the 64P point (slow)"}}))));
+                  bench::withTelemetryArgs(bench::withEngineArgs(
+                      bench::withSweepArgs(
+                          {{"updates", "updates per CPU (default 1500)"},
+                           {"full", "include the 64P point (slow)"}})))));
     auto updates =
         static_cast<std::uint64_t>(args.getInt("updates", 1500));
     bool full = args.getBool("full", false);

@@ -159,6 +159,36 @@ BM_CacheLookupHit(benchmark::State &state)
 }
 BENCHMARK(BM_CacheLookupHit);
 
+// BM_CacheLookupHit stays resident in the host's L1/L2; this one
+// spreads random hits over 16 full ev7 L2s (one per node of a 16P
+// machine), so each lookup pays for the tag store's layout in the
+// host memory hierarchy.
+void
+BM_CacheLookupHitCold(benchmark::State &state)
+{
+    constexpr int caches = 16;
+    std::vector<std::unique_ptr<mem::Cache>> l2;
+    std::uint64_t lines = 0;
+    for (int c = 0; c < caches; ++c) {
+        l2.push_back(
+            std::make_unique<mem::Cache>(mem::CacheParams::ev7L2()));
+        lines = l2.back()->lines();
+        for (std::uint64_t i = 0; i < lines; ++i)
+            l2.back()->fill(i * mem::lineBytes, mem::LineState::Shared);
+    }
+    Rng rng(7);
+    bool hit = true;
+    for (auto _ : state) {
+        mem::Cache &cache = *l2[rng.below(caches)];
+        hit &= cache.lookup(rng.below(lines) * mem::lineBytes, false).hit;
+    }
+    if (!hit)
+        state.SkipWithError("random lookup missed a full cache");
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CacheLookupHitCold);
+
 void
 BM_TorusRouteCompute(benchmark::State &state)
 {

@@ -89,6 +89,21 @@ class TimingCore
     /** Outstanding below-L1 accesses right now. */
     int outstanding() const { return inFlight; }
 
+    /** @name Memory accounting (docs/SCALING.md): the core and its L1 */
+    /// @{
+    std::size_t
+    footprintBytes() const
+    {
+        return sizeof(*this) + (l1 ? l1->footprintBytes() : 0);
+    }
+
+    std::size_t
+    denseFootprintBytes() const
+    {
+        return sizeof(*this) + (l1 ? l1->denseFootprintBytes() : 0);
+    }
+    /// @}
+
     /** @name Checkpoint/restore: issue-stage state and the L1.
      *
      * The attached TrafficSource is serialized by its owner (the

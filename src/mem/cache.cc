@@ -13,113 +13,83 @@ Cache::Cache(CacheParams params) : prm(params)
               "cache size not divisible into ways of whole lines");
     nSets = static_cast<int>(prm.sizeBytes /
                              (lineBytes * static_cast<Addr>(prm.ways)));
-    gs_assert(nSets >= 1);
-    sets_.resize(static_cast<std::size_t>(nSets));
+    gs_assert(nSets >= 1 && (nSets & (nSets - 1)) == 0,
+              "cache set count must be a power of two, got ", nSets,
+              " (", prm.sizeBytes, " bytes, ", prm.ways, " ways)");
+    setMask = static_cast<std::size_t>(nSets) - 1;
+    stride = 2 * static_cast<std::size_t>(prm.ways);
+    slots_.resize(static_cast<std::size_t>(nSets));
 }
 
-Cache::Line *
+std::uint64_t *
 Cache::ensureSet(std::size_t i)
 {
-    if (!sets_[i]) {
-        sets_[i] = std::make_unique<Line[]>(
-            static_cast<std::size_t>(prm.ways));
-        allocatedSets_ += 1;
+    if (!slots_[i]) {
+        // Grow by doubling, but never past the dense tag array.
+        if (arena_.size() + stride > arena_.capacity())
+            arena_.reserve(std::min(
+                std::max(2 * arena_.size(), stride),
+                slots_.size() * stride));
+        arena_.resize(arena_.size() + stride);
+        slots_[i] = static_cast<std::uint32_t>(arena_.size() / stride);
     }
-    return sets_[i].get();
-}
-
-Cache::Line *
-Cache::find(Addr a)
-{
-    Addr line = lineOf(a);
-    Line *set = sets_[setOf(a)].get();
-    if (!set)
-        return nullptr;
-    for (int w = 0; w < prm.ways; ++w) {
-        if (set[w].state != LineState::Invalid && set[w].tag == line)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::find(Addr a) const
-{
-    return const_cast<Cache *>(this)->find(a);
-}
-
-CacheAccess
-Cache::lookup(Addr a, bool)
-{
-    if (Line *line = find(a)) {
-        line->lastUse = ++useClock;
-        nHits += 1;
-        return CacheAccess{true, line->state};
-    }
-    nMisses += 1;
-    return CacheAccess{false, LineState::Invalid};
-}
-
-LineState
-Cache::state(Addr a) const
-{
-    const Line *line = find(a);
-    return line ? line->state : LineState::Invalid;
+    return setAt(slots_[i]);
 }
 
 void
 Cache::setState(Addr a, LineState s)
 {
-    Line *line = find(a);
-    gs_assert(line, "setState on non-resident line");
-    line->state = s;
-    if (s == LineState::Invalid)
-        line->tag = 0;
+    const std::size_t at = find(a);
+    gs_assert(at != absent, "setState on non-resident line");
+    arena_[at] = s == LineState::Invalid
+                     ? 0
+                     : (arena_[at] & ~stateMask) |
+                           static_cast<std::uint64_t>(s);
 }
 
 Victim
 Cache::fill(Addr a, LineState s)
 {
     gs_assert(s != LineState::Invalid, "filling an Invalid line");
-    gs_assert(!find(a), "fill of already-resident line");
+    gs_assert(find(a) == absent, "fill of already-resident line");
 
-    Line *set = ensureSet(setOf(a));
-    Line *slot = &set[0];
-    for (int w = 0; w < prm.ways; ++w) {
-        if (set[w].state == LineState::Invalid) {
-            slot = &set[w];
+    // `v` indexes the victim's tag word: the first invalid way, else
+    // the least recently used one.
+    std::uint64_t *set = ensureSet(setOf(a));
+    std::size_t v = 0;
+    for (std::size_t w = 0; w < stride; w += 2) {
+        if ((set[w] & stateMask) == 0) {
+            v = w;
             break;
         }
-        if (set[w].lastUse < slot->lastUse)
-            slot = &set[w];
+        if (set[w + 1] < set[v + 1])
+            v = w;
     }
 
     Victim victim;
-    if (slot->state != LineState::Invalid) {
-        victim.line = slot->tag;
-        victim.state = slot->state;
+    if (set[v] & stateMask) {
+        victim.line = set[v] & ~stateMask;
+        victim.state = static_cast<LineState>(set[v] & stateMask);
     }
-    slot->tag = lineOf(a);
-    slot->state = s;
-    slot->lastUse = ++useClock;
+    set[v] = lineOf(a) | static_cast<std::uint64_t>(s);
+    set[v + 1] = ++useClock;
     return victim;
 }
 
 void
 Cache::invalidate(Addr a)
 {
-    if (Line *line = find(a)) {
-        line->state = LineState::Invalid;
-        line->tag = 0;
-    }
+    const std::size_t at = find(a);
+    if (at != absent)
+        arena_[at] = 0;
 }
 
 void
 Cache::reset()
 {
-    for (auto &set : sets_)
-        set.reset();
-    allocatedSets_ = 0;
+    std::fill(slots_.begin(), slots_.end(), 0);
+    arena_.clear();
+    arena_.shrink_to_fit();
     useClock = 0;
 }
 

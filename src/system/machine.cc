@@ -254,6 +254,8 @@ Machine::memFootprintBytes() const
     for (const auto &node : nodes)
         if (node)
             total += node->footprintBytes();
+    for (const auto &core : cores)
+        total += core->footprintBytes();
     return total;
 }
 
@@ -264,6 +266,8 @@ Machine::denseMemFootprintBytes() const
     for (const auto &node : nodes)
         if (node)
             total += node->denseFootprintBytes();
+    for (const auto &core : cores)
+        total += core->denseFootprintBytes();
     return total;
 }
 

@@ -272,7 +272,8 @@ class Machine
      * but excluded from deterministic exports.
      */
     /// @{
-    /** Current bytes across every coherent node's simulation state. */
+    /** Current bytes across every coherent node's simulation state
+     *  and every core's private L1. */
     std::size_t memFootprintBytes() const;
 
     /** Bytes the dense (pre-lazy, fat-directory) layout would need. */

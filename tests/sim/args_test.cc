@@ -101,8 +101,8 @@ TEST(Args, RemovedRouterOptionIsFatal)
     // --router: an old command line fails instead of silently running
     // the default router.
     auto known = gs::bench::withCheckpointArgs(
-        gs::bench::withTelemetryArgs(gs::bench::withSweepArgs(
-            {{"updates", "updates per CPU"}})));
+        gs::bench::withTelemetryArgs(gs::bench::withEngineArgs(
+            gs::bench::withSweepArgs({{"updates", "updates per CPU"}}))));
     EXPECT_EXIT(parse({"--router=buffered"}, known),
                 ::testing::ExitedWithCode(1), "unknown option --router");
 }
@@ -117,6 +117,33 @@ TEST(Args, SummaryBenchTakesSweepOptions)
     EXPECT_TRUE(a.getBool("fast", false));
     EXPECT_EQ(gs::bench::makeRunner(a).jobs(), 4);
     EXPECT_EQ(gs::bench::makeRunner(parse({"--jobs=1"}, known)).jobs(), 1);
+}
+
+TEST(Args, SerialOnlyBenchRejectsEngineOptions)
+{
+    // fig12_latency_16p's option set: it never builds a parallel
+    // machine, so --threads/--tile-shape fail instead of silently
+    // running the serial engine.
+    auto known = gs::bench::withSweepArgs(
+        {{"loads", "loads per probe (default 4000)"}});
+    EXPECT_EXIT(parse({"--threads=4"}, known),
+                ::testing::ExitedWithCode(1), "unknown option --threads");
+    EXPECT_EXIT(parse({"--tile-shape=2x2"}, known),
+                ::testing::ExitedWithCode(1),
+                "unknown option --tile-shape");
+}
+
+TEST(Args, EngineBenchTakesThreadsAndTileShape)
+{
+    // fig14_latency_scaling's engine options.
+    auto known = gs::bench::withEngineArgs(gs::bench::withSweepArgs(
+        {{"loads", "loads per probe (default 3000)"}}));
+    Args a = parse({"--threads=4", "--tile-shape=2x2"}, known);
+    EXPECT_EQ(gs::bench::machineThreads(a), 4);
+    gs::sys::Gs1280Options opt;
+    gs::bench::applyTileShape(a, opt);
+    EXPECT_EQ(opt.tileRows, 2);
+    EXPECT_EQ(opt.tileCols, 2);
 }
 
 TEST(Args, OutOfRangeIntIsFatal)

@@ -156,4 +156,29 @@ TEST(Machine, ClearStatsResetsCounters)
     EXPECT_EQ(m->network().stats().deliveredPackets, 0u);
 }
 
+TEST(Machine, FootprintCountsNodesAndCoreL1s)
+{
+    auto m = Machine::buildGS1280(4);
+    wl::PointerChase chase(m->cpuAddr(1, 0), 1 << 20, 64, 100);
+    m->run({&chase});
+    std::size_t live = 0;
+    std::size_t dense = 0;
+    for (NodeId n = 0; n < 4; ++n) {
+        live += m->node(n).footprintBytes();
+        dense += m->node(n).denseFootprintBytes();
+    }
+    for (int c = 0; c < 4; ++c) {
+        live += m->core(c).footprintBytes();
+        dense += m->core(c).denseFootprintBytes();
+    }
+    EXPECT_EQ(m->memFootprintBytes(), live);
+    EXPECT_EQ(m->denseMemFootprintBytes(), dense);
+    // Every core charges its L1's 4-byte set slots (512 sets), and
+    // the dense figure the full 24-byte-per-line tag array; the core
+    // that ran the chase also holds L1 tag storage.
+    EXPECT_GE(m->core(1).footprintBytes(), 512u * 4);
+    EXPECT_GE(m->core(1).denseFootprintBytes(), 1024u * 24);
+    EXPECT_GT(m->core(0).footprintBytes(), m->core(1).footprintBytes());
+}
+
 } // namespace
