@@ -345,6 +345,63 @@ BM_CoherentLocalMiss(benchmark::State &state)
 }
 BENCHMARK(BM_CoherentLocalMiss);
 
+// The home directories of stream16 (perfbench) at their peak: 16
+// tables of 28,682 tracked lines, held as three unit-stride windows
+// (Triad's a, b and c, 2 MiB apart) in each node's region. One
+// iteration slides one window of one table by a line with the lookups
+// a home makes: a request finds its line absent and inserts it, the
+// fill finds it again, and a victim finds and erases the window's
+// tail line. Tables and windows take turns, so consecutive lines of
+// one window are 48 iterations apart.
+void
+BM_DirectoryStreamCold(benchmark::State &state)
+{
+    constexpr int tables = 16;
+    constexpr int streams = 3;
+    constexpr std::uint64_t window = 28682 / streams;
+    constexpr std::uint64_t arrayLines = (2 << 20) / mem::lineBytes;
+    std::vector<coher::LineTable<coher::DirEntry>> dir(tables);
+    auto lineOf = [](int t, int s, std::uint64_t i) {
+        return mem::regionBase(t) +
+               (static_cast<std::uint64_t>(s) * arrayLines +
+                i % arrayLines) *
+                   mem::lineBytes;
+    };
+    for (int t = 0; t < tables; ++t)
+        for (int s = 0; s < streams; ++s)
+            for (std::uint64_t i = 0; i < window; ++i)
+                dir[t].insert(lineOf(t, s, i))
+                    .first->setState(coher::DirState::Exclusive);
+    std::uint64_t head = window;
+    int t = 0;
+    int s = 0;
+    bool ok = true;
+    for (auto _ : state) {
+        coher::LineTable<coher::DirEntry> &d = dir[t];
+        const mem::Addr line = lineOf(t, s, head);
+        const mem::Addr tail = lineOf(t, s, head - window);
+        ok &= d.find(line) == nullptr;
+        d.insert(line).first->setState(coher::DirState::Busy);
+        coher::DirEntry *e = d.find(line);
+        benchmark::DoNotOptimize(e);
+        e->setState(coher::DirState::Exclusive);
+        ok &= d.find(tail) != nullptr;
+        ok &= d.erase(tail);
+        if (++t == tables) {
+            t = 0;
+            if (++s == streams) {
+                s = 0;
+                head += 1;
+            }
+        }
+    }
+    if (!ok)
+        state.SkipWithError("a window line went missing");
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DirectoryStreamCold);
+
 /**
  * The mem.* gauge family (docs/SCALING.md): bytes of host memory per
  * simulated node, reported through the items/sec channel so the same

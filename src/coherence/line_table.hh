@@ -4,12 +4,24 @@
  * small value, for the per-line protocol tables (the home directory
  * and the victim buffer).
  *
- * One power-of-two array of {line, value} slots, linear probing from
- * a Fibonacci hash of the line number. Erase shifts the following
- * cluster back into the hole, so there are no tombstones and a probe
- * stops at the first empty slot. An empty table owns no storage; the
- * array doubles when it would pass 3/4 full and never shrinks, so a
- * warm table inserts and erases without touching the heap.
+ * One power-of-two array of slots. A slot starts with a 64-bit key
+ * word: the line address in bits 6..47 (lines lie below 2^47, so bit
+ * 47 is always clear) and, in the other 22 bits, whatever the value
+ * packs there; an empty slot's key is noLine. A value derived from
+ * LineKey *is* its slot and may pack state into those spare bits (the
+ * directory's 16-byte DirEntry does); any other value follows the key
+ * word and leaves the spare bits clear.
+ *
+ * Probing is linear from a home slot that keeps runs of 2^runBits
+ * consecutive lines in neighbouring slots: the run number takes a
+ * Fibonacci hash, the line's offset in its run the low bits. Unit-
+ * stride traffic (STREAM's reads, write-allocates and victims) then
+ * walks the array instead of scattering over it. Erase shifts the
+ * following cluster back into the hole, so there are no tombstones
+ * and a probe stops at the first empty slot. An empty table owns no
+ * storage; the array doubles when it would pass 3/4 full and never
+ * shrinks, so a warm table inserts and erases without touching the
+ * heap.
  *
  * Pointers returned by find()/insert() stay valid until the next
  * insert of a new line or erase of any line.
@@ -19,12 +31,15 @@
 #define GS_COHERENCE_LINE_TABLE_HH
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mem/address.hh"
+#include "sim/logging.hh"
 
 namespace gs::coher
 {
@@ -32,15 +47,49 @@ namespace gs::coher
 /** Key of an unused slot; never a line address (not aligned). */
 constexpr mem::Addr noLine = ~mem::Addr(0);
 
+/** Every line a table holds lies below this address (bit 47). */
+constexpr mem::Addr lineLimit = mem::Addr(1) << 47;
+
+/** Key-word bits the table compares: the line, plus bit 47 so that
+ *  noLine never matches a line. */
+constexpr std::uint64_t lineBits = (lineLimit << 1) - mem::lineBytes;
+
+/**
+ * Base of a value that shares its slot's key word: the table owns
+ * lineBits, the value the remaining 22 bits. A freshly inserted
+ * value has those bits clear.
+ */
+struct LineKey
+{
+    std::uint64_t key = noLine;
+};
+
 template <typename V>
 class LineTable
 {
-  public:
-    struct Slot
+    struct Wrapped : LineKey
     {
-        mem::Addr line = noLine;
         V value{};
     };
+
+    static constexpr bool packed = std::derived_from<V, LineKey>;
+    using Slot = std::conditional_t<packed, V, Wrapped>;
+
+    template <typename S>
+    static auto &
+    valueOf(S &s)
+    {
+        if constexpr (packed)
+            return s;
+        else
+            return s.value;
+    }
+
+  public:
+    /** log2 of the lines a run keeps in neighbouring slots. */
+    static constexpr unsigned runBits = 2;
+    // The smallest array (16 slots) shifts the hash by 60 + runBits.
+    static_assert(runBits <= 3, "run hash shift must stay below 64");
 
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
@@ -61,10 +110,10 @@ class LineTable
         if (count == 0)
             return nullptr;
         for (std::size_t i = homeSlot(line);; i = (i + 1) & mask) {
-            const Slot &s = slots[i];
-            if (s.line == line)
-                return &s.value;
-            if (s.line == noLine)
+            const std::uint64_t key = slots[i].key;
+            if ((key & lineBits) == line)
+                return &valueOf(slots[i]);
+            if (key == noLine)
                 return nullptr;
         }
     }
@@ -78,15 +127,17 @@ class LineTable
     {
         if (V *v = find(line))
             return {v, false};
+        gs_assert((line & ~lineBits) == 0 && line < lineLimit,
+                  "line table key is not a line below 2^47");
         if ((count + 1) * 4 > slots.size() * 3)
             grow();
         std::size_t i = homeSlot(line);
-        while (slots[i].line != noLine)
+        while (slots[i].key != noLine)
             i = (i + 1) & mask;
-        slots[i].line = line;
-        slots[i].value = V{};
+        slots[i] = Slot{};
+        slots[i].key = line;
         count += 1;
-        return {&slots[i].value, true};
+        return {&valueOf(slots[i]), true};
     }
 
     /** Remove @p line; returns false when it was absent. */
@@ -96,23 +147,23 @@ class LineTable
         if (count == 0)
             return false;
         std::size_t hole = homeSlot(line);
-        while (slots[hole].line != line) {
-            if (slots[hole].line == noLine)
+        while ((slots[hole].key & lineBits) != line) {
+            if (slots[hole].key == noLine)
                 return false;
             hole = (hole + 1) & mask;
         }
         // Backward shift: move each later member of the cluster whose
         // home lies cyclically at or before the hole into it.
-        for (std::size_t j = (hole + 1) & mask; slots[j].line != noLine;
+        for (std::size_t j = (hole + 1) & mask; slots[j].key != noLine;
              j = (j + 1) & mask) {
             const std::size_t fromHome =
-                (j - homeSlot(slots[j].line)) & mask;
+                (j - homeSlot(slots[j].key & lineBits)) & mask;
             if (fromHome >= ((j - hole) & mask)) {
                 slots[hole] = slots[j];
                 hole = j;
             }
         }
-        slots[hole].line = noLine;
+        slots[hole].key = noLine;
         count -= 1;
         return true;
     }
@@ -122,7 +173,7 @@ class LineTable
     clear()
     {
         for (Slot &s : slots)
-            s.line = noLine;
+            s.key = noLine;
         count = 0;
     }
 
@@ -132,16 +183,19 @@ class LineTable
     forEach(F &&fn) const
     {
         for (const Slot &s : slots)
-            if (s.line != noLine)
-                fn(s.line, s.value);
+            if (s.key != noLine)
+                fn(s.key & lineBits, valueOf(s));
     }
 
   private:
     std::size_t
     homeSlot(mem::Addr line) const
     {
+        const std::uint64_t n = line >> 6;
+        const std::uint64_t run =
+            ((n >> runBits) * 0x9E3779B97F4A7C15ull) >> (shift + runBits);
         return static_cast<std::size_t>(
-            ((line >> 6) * 0x9E3779B97F4A7C15ull) >> shift);
+            (run << runBits) | (n & ((1u << runBits) - 1)));
     }
 
     void
@@ -154,10 +208,10 @@ class LineTable
         mask = cap - 1;
         shift = 64 - static_cast<unsigned>(std::countr_zero(cap));
         for (const Slot &s : old) {
-            if (s.line == noLine)
+            if (s.key == noLine)
                 continue;
-            std::size_t i = homeSlot(s.line);
-            while (slots[i].line != noLine)
+            std::size_t i = homeSlot(s.key & lineBits);
+            while (slots[i].key != noLine)
                 i = (i + 1) & mask;
             slots[i] = s;
         }
@@ -166,7 +220,7 @@ class LineTable
     std::vector<Slot> slots;
     std::size_t count = 0;
     std::size_t mask = 0;
-    unsigned shift = 63;
+    unsigned shift = 60;
 };
 
 } // namespace gs::coher

@@ -41,6 +41,13 @@ CoherentNode::CoherentNode(SimContext &context, net::Network &network,
                    1) / cfg.sharerGroupSize <=
                       64,
               "sharer groups overflow the 64-bit vector");
+    // The directory's packed slot (DirEntry) keys lines below
+    // lineLimit, i.e. the regions of the first 2048 nodes, and owner
+    // ids up to DirEntry::maxOwner.
+    const NodeId nodes = net_.topology().numNodes();
+    if (mem::regionBase(nodes) > lineLimit || nodes - 1 > DirEntry::maxOwner)
+        gs_fatal("a ", nodes, "-node machine exceeds the directory's ",
+                 lineLimit >> mem::nodeShift, "-node address budget");
     if (cfg.hasCache)
         cache = std::make_unique<mem::Cache>(cfg.l2);
     if (cfg.hasMemory) {
@@ -127,7 +134,7 @@ CoherentNode::quiescedByScan() const
         return false;
     bool busy = false;
     dir.forEach([&busy](mem::Addr, const DirEntry &e) {
-        busy = busy || e.state == DirState::Busy;
+        busy = busy || e.state() == DirState::Busy;
     });
     if (busy)
         return false;
@@ -142,7 +149,7 @@ DirState
 CoherentNode::dirState(mem::Addr line) const
 {
     const DirEntry *e = dir.find(mem::lineOf(line));
-    return e ? e->state : DirState::Invalid;
+    return e ? e->state() : DirState::Invalid;
 }
 
 std::uint64_t
@@ -156,7 +163,7 @@ NodeId
 CoherentNode::dirOwner(mem::Addr line) const
 {
     const DirEntry *e = dir.find(mem::lineOf(line));
-    return e ? e->owner : invalidNode;
+    return e ? e->owner() : invalidNode;
 }
 
 std::vector<mem::Addr>
@@ -164,7 +171,7 @@ CoherentNode::dirLines() const
 {
     std::vector<mem::Addr> lines;
     dir.forEach([&lines](mem::Addr line, const DirEntry &e) {
-        if (e.state != DirState::Invalid)
+        if (e.state() != DirState::Invalid)
             lines.push_back(line);
     });
     std::sort(lines.begin(), lines.end());
@@ -820,15 +827,15 @@ CoherentNode::zboxFor(mem::Addr line)
 void
 CoherentNode::beginBusy(DirEntry &e)
 {
-    e.state = DirState::Busy;
+    e.setState(DirState::Busy);
     busyLines += 1;
 }
 
-CoherentNode::DirEntry &
+DirEntry &
 CoherentNode::endBusy(mem::Addr line)
 {
     DirEntry *e = dir.find(line);
-    gs_assert(e && e->state == DirState::Busy,
+    gs_assert(e && e->state() == DirState::Busy,
               "home transaction completed on a line that is not Busy");
     busyLines -= 1;
     return *e;
@@ -842,10 +849,10 @@ CoherentNode::homeDispatch(const Msg &m)
     // A Busy line queues. So does an owner re-requesting its own
     // line: its victim message is still in flight, and the request
     // must wait until the victim lands.
-    if (e && (e->state == DirState::Busy ||
+    if (e && (e->state() == DirState::Busy ||
               ((m.type == MsgType::RdReq || m.type == MsgType::RdModReq) &&
-               e->state == DirState::Exclusive &&
-               e->owner == m.requester))) {
+               e->state() == DirState::Exclusive &&
+               e->owner() == m.requester))) {
         dirTxns[m.line].pending.push_back(m);
         queuedHome += 1;
         return;
@@ -864,7 +871,7 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
       case MsgType::RdModReq:
         if (!e)
             e = dir.insert(line).first;
-        if (e->state == DirState::Invalid) {
+        if (e->state() == DirState::Invalid) {
             beginBusy(*e);
             zboxReadSpan(
                 line, req,
@@ -873,7 +880,7 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
                            [this, line, req] {
                                scheduleHomeExcl(line, req);
                            }));
-        } else if (e->state == DirState::Shared) {
+        } else if (e->state() == DirState::Shared) {
             beginBusy(*e);
             bool mod = m.type == MsgType::RdModReq;
             zboxReadSpan(
@@ -884,12 +891,12 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
                                scheduleHomeShared(line, req, mod);
                            }));
         } else { // Exclusive at a third party: forward.
-            gs_assert(e->owner != req, "owner re-request reached "
+            gs_assert(e->owner() != req, "owner re-request reached "
                                        "homeProcess");
             DirTxn &txn = dirTxns[line];
             txn.requester = req;
             txn.type = m.type;
-            NodeId owner = e->owner;
+            NodeId owner = e->owner();
             beginBusy(*e);
             sendAfter(cfg.homeOverheadNs,
                       m.type == MsgType::RdReq ? MsgType::FwdRd
@@ -900,7 +907,7 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
 
       case MsgType::VictimWB:
       case MsgType::VictimClean:
-        if (e && e->state == DirState::Exclusive && e->owner == req) {
+        if (e && e->state() == DirState::Exclusive && e->owner() == req) {
             beginBusy(*e);
             bool dirty = m.type == MsgType::VictimWB;
             if (dirty)
@@ -937,8 +944,8 @@ void
 CoherentNode::applyHomeExcl(mem::Addr line, NodeId req)
 {
     DirEntry &e = endBusy(line);
-    e.state = DirState::Exclusive;
-    e.owner = req;
+    e.setState(DirState::Exclusive);
+    e.setOwner(req);
     e.sharers = 0;
     send(MsgType::BlkExclusive, req, line, req, 0);
     finishTxn(line, e);
@@ -997,13 +1004,13 @@ CoherentNode::applyHomeShared(mem::Addr line, NodeId req, bool mod)
     DirEntry &e = endBusy(line);
     if (!mod) {
         e.sharers |= sharerBit(req);
-        e.state = DirState::Shared;
+        e.setState(DirState::Shared);
         send(MsgType::BlkShared, req, line, req, 0);
     } else {
         int count = sendInvals(e.sharers, line, req);
         e.sharers = 0;
-        e.owner = req;
-        e.state = DirState::Exclusive;
+        e.setOwner(req);
+        e.setState(DirState::Exclusive);
         send(MsgType::BlkExclusive, req, line, req,
              static_cast<std::uint32_t>(count));
     }
@@ -1014,8 +1021,8 @@ void
 CoherentNode::applyHomeVictim(mem::Addr line, NodeId req)
 {
     DirEntry &e = endBusy(line);
-    e.state = DirState::Invalid;
-    e.owner = invalidNode;
+    e.setState(DirState::Invalid);
+    e.setOwner(invalidNode);
     e.sharers = 0;
     send(MsgType::VictimAck, req, line, req);
     finishTxn(line, e);
@@ -1025,9 +1032,9 @@ void
 CoherentNode::applyHomeDowngrade(mem::Addr line, std::uint64_t sharers)
 {
     DirEntry &e = endBusy(line);
-    e.state = DirState::Shared;
+    e.setState(DirState::Shared);
     e.sharers = sharers;
-    e.owner = invalidNode;
+    e.setOwner(invalidNode);
     finishTxn(line, e);
 }
 
@@ -1035,8 +1042,8 @@ void
 CoherentNode::applyHomeTransfer(mem::Addr line, NodeId req)
 {
     DirEntry &e = endBusy(line);
-    e.state = DirState::Exclusive;
-    e.owner = req;
+    e.setState(DirState::Exclusive);
+    e.setOwner(req);
     e.sharers = 0;
     finishTxn(line, e);
 }
@@ -1045,7 +1052,7 @@ void
 CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
 {
     const DirEntry *e = dir.find(m.line);
-    gs_assert(e && e->state == DirState::Busy,
+    gs_assert(e && e->state() == DirState::Busy,
               "owner reply without busy transaction");
     auto tit = dirTxns.find(m.line);
     gs_assert(tit != dirTxns.end(),
@@ -1089,7 +1096,7 @@ CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
 {
     // e stays valid throughout: re-dispatching this line's requests
     // neither inserts nor erases directory entries.
-    gs_assert(e.state != DirState::Busy,
+    gs_assert(e.state() != DirState::Busy,
               "finishTxn before the final state was applied");
 
     auto tit = dirTxns.find(line);
@@ -1097,7 +1104,7 @@ CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
         // Nothing queued. Drop an Invalid entry from the table — the
         // directory tracks the lines a home currently holds, not
         // every line it ever served.
-        if (e.state == DirState::Invalid)
+        if (e.state() == DirState::Invalid)
             dir.erase(line);
         return;
     }
@@ -1112,7 +1119,7 @@ CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
         Msg m = work.front();
         work.pop_front();
         homeDispatch(m);
-        if (e.state == DirState::Busy)
+        if (e.state() == DirState::Busy)
             break;
     }
     // Anything not processed keeps its order ahead of new deferrals.
@@ -1127,11 +1134,11 @@ CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
     // transaction and nothing queued, then drop an Invalid entry.
     tit = dirTxns.find(line);
     if (tit != dirTxns.end() && tit->second.pending.empty() &&
-        e.state != DirState::Busy) {
+        e.state() != DirState::Busy) {
         dirTxns.erase(tit);
         tit = dirTxns.end();
     }
-    if (e.state == DirState::Invalid && tit == dirTxns.end())
+    if (e.state() == DirState::Invalid && tit == dirTxns.end())
         dir.erase(line);
 }
 
@@ -1163,6 +1170,13 @@ hexLine(mem::Addr line)
     std::snprintf(buf, sizeof(buf), "0x%llx",
                   static_cast<unsigned long long>(line));
     return buf;
+}
+
+/** Whether @p line can key a LineTable: aligned and below lineLimit. */
+bool
+tableLine(mem::Addr line)
+{
+    return mem::lineOf(line) == line && line < lineLimit;
 }
 
 void
@@ -1252,9 +1266,9 @@ CoherentNode::saveCkpt(ckpt::Serializer &s) const
     for (mem::Addr line : sortedLines(dir)) {
         const DirEntry &e = *dir.find(line);
         s.put64(line);
-        s.put8(static_cast<std::uint8_t>(e.state));
+        s.put8(static_cast<std::uint8_t>(e.state()));
         s.put64(e.sharers);
-        s.putI32(e.owner);
+        s.putI32(e.owner());
         // Transaction bookkeeping lives in the side table; entries
         // without a record serialise the idle placeholder values.
         auto tit = dirTxns.find(line);
@@ -1386,6 +1400,11 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     for (std::uint32_t i = 0; i < nVb && d.ok(); ++i) {
         mem::Addr line = d.get64();
         const bool dirty = d.getBool();
+        if (d.ok() && !tableLine(line)) {
+            d.fail(where + " victim-buffer line " + hexLine(line) +
+                   " is not a line below 2^47");
+            return;
+        }
         auto [v, inserted] = vb.insert(line);
         if (!inserted) {
             d.fail(where + " victim-buffer section repeats line " +
@@ -1402,21 +1421,33 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     std::uint32_t nDir = d.get32();
     for (std::uint32_t i = 0; i < nDir && d.ok(); ++i) {
         mem::Addr line = d.get64();
-        DirEntry e;
-        e.state = static_cast<DirState>(d.get8());
-        e.sharers = d.get64();
-        e.owner = d.getI32();
+        const std::uint8_t state = d.get8();
+        const std::uint64_t sharers = d.get64();
+        const NodeId owner = d.getI32();
         const NodeId txnReq = d.getI32();
         const auto txnType = static_cast<MsgType>(d.get8());
         std::uint32_t np = d.get32();
-        auto [slot, inserted] = dir.insert(line);
+        if (!d.ok())
+            return;
+        // The packed slot holds four states and owners up to
+        // DirEntry::maxOwner.
+        if (!tableLine(line) ||
+            state > static_cast<std::uint8_t>(DirState::Busy) ||
+            owner < invalidNode || owner > DirEntry::maxOwner) {
+            d.fail(where + " directory entry of line " + hexLine(line) +
+                   " cannot be represented");
+            return;
+        }
+        auto [e, inserted] = dir.insert(line);
         if (!inserted) {
             d.fail(where + " directory section repeats line " +
                    hexLine(line));
             return;
         }
-        *slot = e;
-        busyLines += e.state == DirState::Busy ? 1 : 0;
+        e->setState(static_cast<DirState>(state));
+        e->sharers = sharers;
+        e->setOwner(owner);
+        busyLines += e->state() == DirState::Busy ? 1 : 0;
         if (txnReq != invalidNode || np > 0) {
             DirTxn txn;
             txn.requester = txnReq;

@@ -21,8 +21,11 @@
  * searched by line, like the hardware's; the victim buffer and the
  * directory are flat open-addressed LineTables (line_table.hh) that
  * hold only lines currently tracked (Invalid directory entries are
- * erased). Slots, their vectors and the fill-batch groups are reused,
- * so a miss in steady state allocates nothing on the heap.
+ * erased). A directory slot is 16 bytes (DirEntry: line, state and
+ * owner in one key word, then the sharer mask), and each run of four
+ * consecutive lines takes 64 neighbouring bytes. Slots, their vectors
+ * and the fill-batch groups are reused, so a miss in steady state
+ * allocates nothing on the heap.
  *
  * Known benign race: a response and a later invalidation to the same
  * line may arrive out of order (different packet classes). The MAF
@@ -62,6 +65,47 @@ enum class DirState : std::uint8_t
     Exclusive, ///< a single owner (clean or dirty)
     Busy,      ///< transaction in flight; requests queue
 };
+
+/**
+ * Home-side directory entry: the hot state only, packed into one
+ * 16-byte LineTable slot. The key word holds the line (bits 6..47),
+ * the DirState (bits 0..1) and owner + 1 (bits 48..63, so 0 is
+ * invalidNode); the second word is the sharer mask. The transaction
+ * bookkeeping a line only carries while a forward/inval is in flight
+ * (requester, type, queued requests) lives in CoherentNode's dirTxns
+ * side table and is erased when the transaction drains.
+ */
+struct DirEntry : LineKey
+{
+    static constexpr unsigned ownerShift = 48;
+    static constexpr std::uint64_t stateBits = 3;
+    /** Largest owner id the key word holds. */
+    static constexpr NodeId maxOwner = 0xfffe;
+
+    std::uint64_t sharers = 0;
+
+    DirState state() const { return static_cast<DirState>(key & stateBits); }
+
+    void
+    setState(DirState s)
+    {
+        key = (key & ~stateBits) | static_cast<std::uint64_t>(s);
+    }
+
+    NodeId
+    owner() const
+    {
+        return static_cast<NodeId>(key >> ownerShift) - 1;
+    }
+
+    void
+    setOwner(NodeId n)
+    {
+        key = (key & ~(~std::uint64_t(0) << ownerShift)) |
+              static_cast<std::uint64_t>(n + 1) << ownerShift;
+    }
+};
+static_assert(sizeof(DirEntry) == 16, "a directory slot is 16 bytes");
 
 /** Per-node configuration. */
 struct NodeConfig
@@ -305,21 +349,6 @@ class CoherentNode
     struct VictimEntry
     {
         bool dirty = false;
-    };
-
-    /**
-     * Home-side directory entry: the hot state only. The dominant
-     * machine-wide footprint at 1024P+ is this table, so the entry
-     * is packed to 16 bytes (a 24-byte slot in dir); the transaction
-     * bookkeeping a line only carries while a forward/inval is in
-     * flight (requester, type, queued requests) lives in the dirTxns
-     * side table and is erased when the transaction drains.
-     */
-    struct DirEntry
-    {
-        std::uint64_t sharers = 0;
-        NodeId owner = invalidNode;
-        DirState state = DirState::Invalid;
     };
 
     /** Busy-transaction bookkeeping, present only while needed. */

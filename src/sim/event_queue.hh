@@ -574,17 +574,21 @@ class EventQueue
         // destructor), so the capture is built straight over it.
         ::new (static_cast<void *>(&p.fn)) EventFn(std::forward<F>(fn));
         p.desc = desc;
-        placeKey(Key{when, seq, slot});
+        placeKey(when, seq, slot);
     }
 
     /**
-     * File @p k in its bucket or the overflow heap. Forced inline
-     * into every schedule site, with its cold branches kept out of
-     * line: a call here costs schedule-then-fire about 10 %
-     * (BM_EventQueueScheduleFire).
+     * File key {when, seq, slot} in its bucket or the overflow
+     * heap. Forced inline into every schedule site, with its cold
+     * branches kept out of line: a call here costs schedule-then-fire
+     * about 10 % (BM_EventQueueScheduleFire). The key travels as
+     * three scalars and is stored once, into its bucket: a Key built
+     * on the stack by 8-byte stores and copied by a 16-byte load
+     * cannot be store-forwarded, so the load waits for every older
+     * store to drain.
      */
     [[gnu::always_inline]] void
-    placeKey(const Key &k)
+    placeKey(Tick when, std::uint64_t seq, std::uint64_t slot)
     {
         Bucket *b = curb;
         if (pendingCnt == 0) {
@@ -595,27 +599,27 @@ class EventQueue
             // the moment it drains), so the event is trivially in
             // order and its bucket — the current one after the
             // re-anchor — takes a straight append.
-            Tick nb = bucketBase(k.when);
+            Tick nb = bucketBase(when);
             if (nb != base) {
                 curb->sorted = false;
                 base = nb;
-                cur = bucketIndex(k.when);
+                cur = bucketIndex(when);
                 b = curb = &buckets[cur];
                 curb->sorted = true; // empty: trivially sorted
             }
         } else {
-            if (k.when < base) {
+            if (when < base) {
                 // A long idle runUntil() re-anchored the window at a
                 // far-future event and control returned to the user;
                 // a new event now lands before the window. Rare and
                 // cold: rebuild the window around the early event.
-                rewindTo(k.when);
+                rewindTo(when);
             }
-            if (k.when >= base + horizon) {
-                pushOverflow(k);
+            if (when >= base + horizon) {
+                pushOverflow(Key{when, seq, slot});
                 return;
             }
-            b = &buckets[bucketIndex(k.when)];
+            b = &buckets[bucketIndex(when)];
             // The compare is the full (when, seq) order — a
             // merged-band event (scheduleMergedAt) carries a lower
             // seq than same-tick local events already in the bucket,
@@ -623,22 +627,29 @@ class EventQueue
             // arrivals (the common case) append, which also keeps a
             // live bucket sorted.
             if (b == curb && b->sorted && !b->keys.empty() &&
-                k < b->keys.back()) {
-                insertLive(*b, k);
+                Key{when, seq, slot} < b->keys.back()) {
+                insertLive(*b, Key{when, seq, slot});
                 ringCount += 1;
                 return;
             }
         }
-        append(*b, k);
+        append(*b, Key{when, seq, slot});
         ringCount += 1;
     }
 
-    /** Append @p k to @p b, trading for spare storage when full. */
+    /**
+     * Append @p k to @p b, trading for spare storage when full. The
+     * assert tells the compiler that push_back never reallocates, so
+     * @p k's address does not escape and its fields go straight from
+     * registers into the bucket.
+     */
     [[gnu::always_inline]] void
     append(Bucket &b, const Key &k)
     {
         if (b.keys.size() == b.keys.capacity()) [[unlikely]]
             growBucket(b);
+        gs_assert(b.keys.size() != b.keys.capacity(),
+                  "growBucket left no room");
         b.keys.push_back(k);
     }
 

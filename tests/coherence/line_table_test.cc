@@ -50,6 +50,7 @@ struct KeyParam
     std::uint64_t seed;
     Addr stride;    ///< distance between candidate lines
     int universe;   ///< distinct candidate lines
+    int runShift = 0; ///< when set, three runs 2^runShift bytes apart
 };
 
 class LineTableOracle : public ::testing::TestWithParam<KeyParam>
@@ -66,9 +67,13 @@ TEST_P(LineTableOracle, RandomOpsMatchUnorderedMap)
 
     constexpr int ops = 100000;
     for (int i = 0; i < ops; ++i) {
+        const std::uint64_t u =
+            rng.below(static_cast<std::uint64_t>(prm.universe));
         const Addr line =
-            0x40000000ull +
-            prm.stride * rng.below(static_cast<std::uint64_t>(prm.universe));
+            prm.runShift == 0
+                ? 0x40000000ull + prm.stride * u
+                : 0x40000000ull + ((u % 3) << prm.runShift) +
+                      prm.stride * (u / 3);
         // Bias toward inserts in the first half so the table grows,
         // toward erases in the second so clusters get shifted back.
         const std::uint64_t insertPct = i < ops / 2 ? 60 : 35;
@@ -120,19 +125,27 @@ INSTANTIATE_TEST_SUITE_P(
                       KeyParam{2, 64 * 16, 3000},  // 16-node interleave
                       KeyParam{3, 64 * 64, 800},   // 64-node interleave
                       KeyParam{4, 64 * 2048, 200}, // 2048-node interleave
-                      KeyParam{5, 64 * 7, 5000}));
+                      KeyParam{5, 64 * 7, 5000},
+                      // STREAM Triad's a, b and c: three unit-stride
+                      // runs at power-of-two offsets.
+                      KeyParam{6, 64, 3000, 21}));
 
 /**
  * Backward-shift erase across the array end. The test mirrors the
- * table's hash (Fibonacci, top 4 bits for 16 slots) to pick lines
- * homed near the end, so a cluster runs from slot 14 past slot 15
- * into slots 0.., then erases the entries in many random orders.
+ * table's home slot for 16 slots (the Fibonacci hash of the line's
+ * run of 2^runBits lines, top 4 - runBits bits, then the line's
+ * offset in its run) to pick lines homed near the end, so a cluster
+ * runs from slot 14 past slot 15 into slots 0.., then erases the
+ * entries in many random orders.
  */
 TEST(LineTable, EraseShiftsClustersThatWrapTheArrayEnd)
 {
     auto home16 = [](Addr line) {
-        return static_cast<int>(((line >> 6) * 0x9E3779B97F4A7C15ull) >>
-                                60);
+        constexpr unsigned k = LineTable<Val>::runBits;
+        const std::uint64_t n = line >> 6;
+        const std::uint64_t run =
+            ((n >> k) * 0x9E3779B97F4A7C15ull) >> (60 + k);
+        return static_cast<int>((run << k) | (n & ((1u << k) - 1)));
     };
     // Lines per home slot: 2 at 14, 5 at 15, 3 at 0, 2 at 7 (12
     // entries, the most 16 slots hold at 3/4 load).

@@ -106,6 +106,15 @@ struct PinCase
     std::uint64_t digest;
 };
 
+// Without a printer gtest lists the case by its raw bytes, which
+// include the address of `name` and so change with every process
+// (ASLR); ctest's discovered test names would never repeat.
+void
+PrintTo(const PinCase &pc, std::ostream *os)
+{
+    *os << pc.name;
+}
+
 class CacheSnapshotPin : public ::testing::TestWithParam<PinCase>
 {
 };
