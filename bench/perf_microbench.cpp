@@ -349,10 +349,10 @@ BENCHMARK(BM_CoherentLocalMiss);
 // tables of 28,682 tracked lines, held as three unit-stride windows
 // (Triad's a, b and c, 2 MiB apart) in each node's region. One
 // iteration slides one window of one table by a line with the lookups
-// a home makes: a request finds its line absent and inserts it, the
-// fill finds it again, and a victim finds and erases the window's
-// tail line. Tables and windows take turns, so consecutive lines of
-// one window are 48 iterations apart.
+// a home makes: a request inserts its line in one probe, the fill
+// finds it again, and a victim finds the window's tail line and
+// erases it through the entry. Tables and windows take turns, so
+// consecutive lines of one window are 48 iterations apart.
 void
 BM_DirectoryStreamCold(benchmark::State &state)
 {
@@ -380,13 +380,16 @@ BM_DirectoryStreamCold(benchmark::State &state)
         coher::LineTable<coher::DirEntry> &d = dir[t];
         const mem::Addr line = lineOf(t, s, head);
         const mem::Addr tail = lineOf(t, s, head - window);
-        ok &= d.find(line) == nullptr;
-        d.insert(line).first->setState(coher::DirState::Busy);
+        auto [req, inserted] = d.insert(line);
+        ok &= inserted;
+        req->setState(coher::DirState::Busy);
         coher::DirEntry *e = d.find(line);
         benchmark::DoNotOptimize(e);
         e->setState(coher::DirState::Exclusive);
-        ok &= d.find(tail) != nullptr;
-        ok &= d.erase(tail);
+        const coher::DirEntry *victim = d.find(tail);
+        ok &= victim != nullptr;
+        if (victim)
+            d.erase(victim);
         if (++t == tables) {
             t = 0;
             if (++s == streams) {

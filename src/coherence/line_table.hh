@@ -9,7 +9,7 @@
  * 47 is always clear) and, in the other 22 bits, whatever the value
  * packs there; an empty slot's key is noLine. A value derived from
  * LineKey *is* its slot and may pack state into those spare bits (the
- * directory's 16-byte DirEntry does); any other value follows the key
+ * directory's 8-byte DirEntry does); any other value follows the key
  * word and leaves the spare bits clear.
  *
  * Probing is linear from a home slot that keeps runs of 2^runBits
@@ -18,7 +18,9 @@
  * stride traffic (STREAM's reads, write-allocates and victims) then
  * walks the array instead of scattering over it. Erase shifts the
  * following cluster back into the hole, so there are no tombstones
- * and a probe stops at the first empty slot. An empty table owns no
+ * and a probe stops at the first empty slot. Insert probes once: a
+ * miss lands in the empty slot that ended its probe. Erase through an
+ * entry's pointer skips the probe. An empty table owns no
  * storage; the array doubles when it would pass 3/4 full and never
  * shrinks, so a warm table inserts and erases without touching the
  * heap.
@@ -34,9 +36,9 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "mem/address.hh"
 #include "sim/logging.hh"
@@ -94,9 +96,9 @@ class LineTable
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
     /** Slots allocated (a power of two, or 0). */
-    std::size_t capacity() const { return slots.size(); }
+    std::size_t capacity() const { return slots ? mask + 1 : 0; }
     /** Heap bytes the table holds. */
-    std::size_t bytes() const { return slots.capacity() * sizeof(Slot); }
+    std::size_t bytes() const { return capacity() * sizeof(Slot); }
 
     V *
     find(mem::Addr line)
@@ -120,20 +122,29 @@ class LineTable
 
     /**
      * The entry for @p line, inserting a value-initialized one when
-     * absent; .second is true when it was inserted.
+     * absent; .second is true when it was inserted. One probe: a miss
+     * takes the empty slot that ended it, unless the table must grow
+     * first.
      */
     std::pair<V *, bool>
     insert(mem::Addr line)
     {
-        if (V *v = find(line))
-            return {v, false};
-        gs_assert((line & ~lineBits) == 0 && line < lineLimit,
-                  "line table key is not a line below 2^47");
-        if ((count + 1) * 4 > slots.size() * 3)
+        if (!slots)
             grow();
         std::size_t i = homeSlot(line);
-        while (slots[i].key != noLine)
-            i = (i + 1) & mask;
+        for (;; i = (i + 1) & mask) {
+            const std::uint64_t key = slots[i].key;
+            if ((key & lineBits) == line)
+                return {&valueOf(slots[i]), false};
+            if (key == noLine)
+                break;
+        }
+        gs_assert((line & ~lineBits) == 0 && line < lineLimit,
+                  "line table key is not a line below 2^47");
+        if ((std::size_t(count) + 1) * 4 > (mask + 1) * 3) {
+            grow();
+            i = freeSlotFor(line);
+        }
         slots[i] = Slot{};
         slots[i].key = line;
         count += 1;
@@ -152,28 +163,30 @@ class LineTable
                 return false;
             hole = (hole + 1) & mask;
         }
-        // Backward shift: move each later member of the cluster whose
-        // home lies cyclically at or before the hole into it.
-        for (std::size_t j = (hole + 1) & mask; slots[j].key != noLine;
-             j = (j + 1) & mask) {
-            const std::size_t fromHome =
-                (j - homeSlot(slots[j].key & lineBits)) & mask;
-            if (fromHome >= ((j - hole) & mask)) {
-                slots[hole] = slots[j];
-                hole = j;
-            }
-        }
-        slots[hole].key = noLine;
-        count -= 1;
+        eraseSlot(hole);
         return true;
+    }
+
+    /** Remove the entry @p v, a live pointer from find()/insert(). */
+    void
+    erase(const V *v)
+    {
+        // v lies inside its slot, so the byte offset rounds down to it.
+        const std::size_t i =
+            (reinterpret_cast<std::uintptr_t>(v) -
+             reinterpret_cast<std::uintptr_t>(slots.get())) /
+            sizeof(Slot);
+        gs_assert(i < capacity() && slots[i].key != noLine,
+                  "line table erase of an entry it does not hold");
+        eraseSlot(i);
     }
 
     /** Drop every entry; the slot array keeps its capacity. */
     void
     clear()
     {
-        for (Slot &s : slots)
-            s.key = noLine;
+        for (std::size_t i = 0; i < capacity(); ++i)
+            slots[i].key = noLine;
         count = 0;
     }
 
@@ -182,9 +195,9 @@ class LineTable
     void
     forEach(F &&fn) const
     {
-        for (const Slot &s : slots)
-            if (s.key != noLine)
-                fn(s.key & lineBits, valueOf(s));
+        for (std::size_t i = 0; i < capacity(); ++i)
+            if (slots[i].key != noLine)
+                fn(slots[i].key & lineBits, valueOf(slots[i]));
     }
 
   private:
@@ -198,28 +211,55 @@ class LineTable
             (run << runBits) | (n & ((1u << runBits) - 1)));
     }
 
+    /** The first empty slot probing from @p line's home slot. */
+    std::size_t
+    freeSlotFor(mem::Addr line) const
+    {
+        std::size_t i = homeSlot(line);
+        while (slots[i].key != noLine)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Empty the occupied slot @p hole. */
+    void
+    eraseSlot(std::size_t hole)
+    {
+        // Backward shift: move each later member of the cluster whose
+        // home lies cyclically at or before the hole into it.
+        for (std::size_t j = (hole + 1) & mask; slots[j].key != noLine;
+             j = (j + 1) & mask) {
+            const std::size_t fromHome =
+                (j - homeSlot(slots[j].key & lineBits)) & mask;
+            if (fromHome >= ((j - hole) & mask)) {
+                slots[hole] = slots[j];
+                hole = j;
+            }
+        }
+        slots[hole].key = noLine;
+        count -= 1;
+    }
+
     void
     grow()
     {
-        std::vector<Slot> old;
-        old.swap(slots);
-        const std::size_t cap = old.empty() ? 16 : 2 * old.size();
-        slots.resize(cap);
+        const std::size_t oldCap = capacity();
+        const std::unique_ptr<Slot[]> old = std::move(slots);
+        const std::size_t cap = oldCap == 0 ? 16 : 2 * oldCap;
+        gs_assert(cap <= std::size_t(1) << 32,
+                  "line table outgrew its 32-bit entry count");
+        slots = std::make_unique<Slot[]>(cap);
         mask = cap - 1;
         shift = 64 - static_cast<unsigned>(std::countr_zero(cap));
-        for (const Slot &s : old) {
-            if (s.key == noLine)
-                continue;
-            std::size_t i = homeSlot(s.key & lineBits);
-            while (slots[i].key != noLine)
-                i = (i + 1) & mask;
-            slots[i] = s;
-        }
+        for (std::size_t i = 0; i < oldCap; ++i)
+            if (old[i].key != noLine)
+                slots[freeSlotFor(old[i].key & lineBits)] = old[i];
     }
 
-    std::vector<Slot> slots;
-    std::size_t count = 0;
+    // 24 bytes: a node holds three tables, most of them empty at scale.
+    std::unique_ptr<Slot[]> slots;
     std::size_t mask = 0;
+    std::uint32_t count = 0;
     unsigned shift = 60;
 };
 

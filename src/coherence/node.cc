@@ -155,8 +155,7 @@ CoherentNode::dirState(mem::Addr line) const
 std::uint64_t
 CoherentNode::dirSharers(mem::Addr line) const
 {
-    const DirEntry *e = dir.find(mem::lineOf(line));
-    return e ? e->sharers : 0;
+    return sharersOf(mem::lineOf(line));
 }
 
 NodeId
@@ -213,7 +212,8 @@ CoherentNode::footprintBytes() const
         b += cache->footprintBytes();
     for (const auto &z : zboxes)
         b += z->footprintBytes();
-    b += mafBytes() + vb.bytes() + dir.bytes() + mapBytes(dirTxns);
+    b += mafBytes() + vb.bytes() + dir.bytes() + sharerSets.bytes() +
+         mapBytes(dirTxns);
     for (const auto &[line, txn] : dirTxns)
         b += txn.pending.size() * sizeof(Msg);
     b += pendingCore.size() *
@@ -842,16 +842,29 @@ CoherentNode::endBusy(mem::Addr line)
 }
 
 void
+CoherentNode::setSharers(mem::Addr line, std::uint64_t mask)
+{
+    if (mask != 0)
+        *sharerSets.insert(line).first = mask;
+    else if (sharerSets.erase(line) && sharerSets.empty())
+        sharerSets = LineTable<std::uint64_t>{};
+}
+
+void
 CoherentNode::homeDispatch(const Msg &m)
 {
-    DirEntry *e = dir.find(m.line);
+    // The one directory probe of this message: a read request inserts
+    // its line (an absent line becomes an Invalid entry), a victim
+    // only looks its line up.
+    const bool read =
+        m.type == MsgType::RdReq || m.type == MsgType::RdModReq;
+    DirEntry *e = read ? dir.insert(m.line).first : dir.find(m.line);
 
     // A Busy line queues. So does an owner re-requesting its own
     // line: its victim message is still in flight, and the request
     // must wait until the victim lands.
     if (e && (e->state() == DirState::Busy ||
-              ((m.type == MsgType::RdReq || m.type == MsgType::RdModReq) &&
-               e->state() == DirState::Exclusive &&
+              (read && e->state() == DirState::Exclusive &&
                e->owner() == m.requester))) {
         dirTxns[m.line].pending.push_back(m);
         queuedHome += 1;
@@ -869,8 +882,6 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
     switch (m.type) {
       case MsgType::RdReq:
       case MsgType::RdModReq:
-        if (!e)
-            e = dir.insert(line).first;
         if (e->state() == DirState::Invalid) {
             beginBusy(*e);
             zboxReadSpan(
@@ -946,7 +957,7 @@ CoherentNode::applyHomeExcl(mem::Addr line, NodeId req)
     DirEntry &e = endBusy(line);
     e.setState(DirState::Exclusive);
     e.setOwner(req);
-    e.sharers = 0;
+    setSharers(line, 0);
     send(MsgType::BlkExclusive, req, line, req, 0);
     finishTxn(line, e);
 }
@@ -1003,12 +1014,12 @@ CoherentNode::applyHomeShared(mem::Addr line, NodeId req, bool mod)
 {
     DirEntry &e = endBusy(line);
     if (!mod) {
-        e.sharers |= sharerBit(req);
+        setSharers(line, sharersOf(line) | sharerBit(req));
         e.setState(DirState::Shared);
         send(MsgType::BlkShared, req, line, req, 0);
     } else {
-        int count = sendInvals(e.sharers, line, req);
-        e.sharers = 0;
+        int count = sendInvals(sharersOf(line), line, req);
+        setSharers(line, 0);
         e.setOwner(req);
         e.setState(DirState::Exclusive);
         send(MsgType::BlkExclusive, req, line, req,
@@ -1023,7 +1034,7 @@ CoherentNode::applyHomeVictim(mem::Addr line, NodeId req)
     DirEntry &e = endBusy(line);
     e.setState(DirState::Invalid);
     e.setOwner(invalidNode);
-    e.sharers = 0;
+    setSharers(line, 0);
     send(MsgType::VictimAck, req, line, req);
     finishTxn(line, e);
 }
@@ -1033,7 +1044,7 @@ CoherentNode::applyHomeDowngrade(mem::Addr line, std::uint64_t sharers)
 {
     DirEntry &e = endBusy(line);
     e.setState(DirState::Shared);
-    e.sharers = sharers;
+    setSharers(line, sharers);
     e.setOwner(invalidNode);
     finishTxn(line, e);
 }
@@ -1044,7 +1055,7 @@ CoherentNode::applyHomeTransfer(mem::Addr line, NodeId req)
     DirEntry &e = endBusy(line);
     e.setState(DirState::Exclusive);
     e.setOwner(req);
-    e.sharers = 0;
+    setSharers(line, 0);
     finishTxn(line, e);
 }
 
@@ -1095,17 +1106,18 @@ void
 CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
 {
     // e stays valid throughout: re-dispatching this line's requests
-    // neither inserts nor erases directory entries.
+    // finds e's line present, so it neither adds nor erases a
+    // directory entry.
     gs_assert(e.state() != DirState::Busy,
               "finishTxn before the final state was applied");
 
-    auto tit = dirTxns.find(line);
+    auto tit = dirTxns.empty() ? dirTxns.end() : dirTxns.find(line);
     if (tit == dirTxns.end()) {
         // Nothing queued. Drop an Invalid entry from the table — the
         // directory tracks the lines a home currently holds, not
         // every line it ever served.
         if (e.state() == DirState::Invalid)
-            dir.erase(line);
+            dir.erase(&e);
         return;
     }
 
@@ -1139,7 +1151,7 @@ CoherentNode::finishTxn(mem::Addr line, DirEntry &e)
         tit = dirTxns.end();
     }
     if (e.state() == DirState::Invalid && tit == dirTxns.end())
-        dir.erase(line);
+        dir.erase(&e);
 }
 
 // ---------------------------------------------------------------------
@@ -1267,7 +1279,7 @@ CoherentNode::saveCkpt(ckpt::Serializer &s) const
         const DirEntry &e = *dir.find(line);
         s.put64(line);
         s.put8(static_cast<std::uint8_t>(e.state()));
-        s.put64(e.sharers);
+        s.put64(sharersOf(line));
         s.putI32(e.owner());
         // Transaction bookkeeping lives in the side table; entries
         // without a record serialise the idle placeholder values.
@@ -1415,6 +1427,7 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     }
 
     dir.clear();
+    sharerSets = LineTable<std::uint64_t>{};
     dirTxns.clear();
     busyLines = 0;
     queuedHome = 0;
@@ -1445,7 +1458,7 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
             return;
         }
         e->setState(static_cast<DirState>(state));
-        e->sharers = sharers;
+        setSharers(line, sharers);
         e->setOwner(owner);
         busyLines += e->state() == DirState::Busy ? 1 : 0;
         if (txnReq != invalidNode || np > 0) {

@@ -21,11 +21,14 @@
  * searched by line, like the hardware's; the victim buffer and the
  * directory are flat open-addressed LineTables (line_table.hh) that
  * hold only lines currently tracked (Invalid directory entries are
- * erased). A directory slot is 16 bytes (DirEntry: line, state and
- * owner in one key word, then the sharer mask), and each run of four
- * consecutive lines takes 64 neighbouring bytes. Slots, their vectors
- * and the fill-batch groups are reused, so a miss in steady state
- * allocates nothing on the heap.
+ * erased). A directory slot is 8 bytes (DirEntry: line, state and
+ * owner in one key word), and each run of four consecutive lines
+ * takes 32 neighbouring bytes. Sharer masks live in a second
+ * LineTable that holds a line only while its mask is nonzero, so a
+ * home without Shared lines keeps no storage for them. Each home
+ * message probes the directory once. Slots, their vectors and the
+ * fill-batch groups are reused, so a miss in steady state allocates
+ * nothing on the heap.
  *
  * Known benign race: a response and a later invalidation to the same
  * line may arrive out of order (different packet classes). The MAF
@@ -68,12 +71,13 @@ enum class DirState : std::uint8_t
 
 /**
  * Home-side directory entry: the hot state only, packed into one
- * 16-byte LineTable slot. The key word holds the line (bits 6..47),
+ * 8-byte LineTable slot. The key word holds the line (bits 6..47),
  * the DirState (bits 0..1) and owner + 1 (bits 48..63, so 0 is
- * invalidNode); the second word is the sharer mask. The transaction
- * bookkeeping a line only carries while a forward/inval is in flight
- * (requester, type, queued requests) lives in CoherentNode's dirTxns
- * side table and is erased when the transaction drains.
+ * invalidNode). The sharer mask of a Shared line lives in
+ * CoherentNode's sharerSets side table. The transaction bookkeeping
+ * a line only carries while a forward/inval is in flight (requester,
+ * type, queued requests) lives in its dirTxns side table and is
+ * erased when the transaction drains.
  */
 struct DirEntry : LineKey
 {
@@ -81,8 +85,6 @@ struct DirEntry : LineKey
     static constexpr std::uint64_t stateBits = 3;
     /** Largest owner id the key word holds. */
     static constexpr NodeId maxOwner = 0xfffe;
-
-    std::uint64_t sharers = 0;
 
     DirState state() const { return static_cast<DirState>(key & stateBits); }
 
@@ -105,7 +107,7 @@ struct DirEntry : LineKey
               static_cast<std::uint64_t>(n + 1) << ownerShift;
     }
 };
-static_assert(sizeof(DirEntry) == 16, "a directory slot is 16 bytes");
+static_assert(sizeof(DirEntry) == 8, "a directory slot is 8 bytes");
 
 /** Per-node configuration. */
 struct NodeConfig
@@ -240,6 +242,9 @@ class CoherentNode
     DirState dirState(mem::Addr line) const;
     std::uint64_t dirSharers(mem::Addr line) const;
     NodeId dirOwner(mem::Addr line) const;
+    /** Heap bytes of the sharer-mask side table (0 while no line has
+     *  sharers). */
+    std::size_t dirSharerBytes() const { return sharerSets.bytes(); }
 
     /** Sharer-vector bit this home uses for node @p n (group bit in
      *  coarse mode); lets the checker test membership correctly. */
@@ -418,8 +423,20 @@ class CoherentNode
      *  @p req; returns the number sent (the requester's ack count). */
     int sendInvals(std::uint64_t sharers, mem::Addr line, NodeId req);
 
+    /** The sharer mask of @p line (0 when it has none). */
+    std::uint64_t
+    sharersOf(mem::Addr line) const
+    {
+        const std::uint64_t *m = sharerSets.find(line);
+        return m ? *m : 0;
+    }
+    /** Set @p line's sharer mask; 0 drops the line from the side
+     *  table, and the last drop frees the table's storage. */
+    void setSharers(mem::Addr line, std::uint64_t mask);
+
     void homeDispatch(const Msg &m);
-    /** @p e is the line's entry, or null when it has none. */
+    /** @p e is the line's entry: found for a victim (null when
+     *  absent), inserted for a read request. */
     void homeProcess(const Msg &m, DirEntry *e);
     void homeOwnerReply(const Msg &m, NodeId from);
     /** Mark @p e Busy (counted for quiesced()). */
@@ -427,7 +444,8 @@ class CoherentNode
     /** The Busy entry of @p line, uncounted; its caller sets the
      *  final state. */
     DirEntry &endBusy(mem::Addr line);
-    /** Drain queued requests after @p e left Busy; may erase @p e. */
+    /** Drain queued requests after @p e left Busy; may erase @p e
+     *  (through the pointer, without a second probe). */
     void finishTxn(mem::Addr line, DirEntry &e);
     mem::Zbox &zboxFor(mem::Addr line);
 
@@ -466,6 +484,8 @@ class CoherentNode
 
     LineTable<VictimEntry> vb;
     LineTable<DirEntry> dir;
+    /** Sharer mask of each directory line whose mask is nonzero. */
+    LineTable<std::uint64_t> sharerSets;
     std::unordered_map<mem::Addr, DirTxn> dirTxns;
     std::size_t busyLines = 0;  ///< dir entries in state Busy
     std::size_t queuedHome = 0; ///< requests queued in dirTxns

@@ -1,6 +1,7 @@
 /** @file LineTable (coherence/line_table.hh) against a std::unordered_map
- *  oracle: randomized insert/find/erase, growth, backward-shift erase
- *  across the array end, and node-interleaved line keys. */
+ *  oracle: randomized insert/find/erase (by line and through an entry's
+ *  pointer), growth, draining to empty and refilling, backward-shift
+ *  erase across the array end, and node-interleaved line keys. */
 
 #include <gtest/gtest.h>
 
@@ -89,7 +90,15 @@ TEST_P(LineTableOracle, RandomOpsMatchUnorderedMap)
             v->b = i;
             oracle[line] = *v;
         } else if (roll < insertPct + 30) {
-            ASSERT_EQ(t.erase(line), oracle.erase(line) == 1);
+            // Half the erases go through the entry's pointer.
+            if (rng.below(2) == 0) {
+                ASSERT_EQ(t.erase(line), oracle.erase(line) == 1);
+            } else if (const Val *v = t.find(line)) {
+                t.erase(v);
+                ASSERT_EQ(oracle.erase(line), 1u);
+            } else {
+                ASSERT_EQ(oracle.count(line), 0u);
+            }
         } else {
             const Val *got = t.find(line);
             auto it = oracle.find(line);
@@ -117,6 +126,35 @@ TEST_P(LineTableOracle, RandomOpsMatchUnorderedMap)
     EXPECT_TRUE(t.empty());
     EXPECT_EQ(t.capacity(), peakCapacity);
     EXPECT_EQ(t.find(lines.empty() ? 0 : lines[0]), nullptr);
+
+    // Refill the drained table, which kept its slots: each insert must
+    // land on its line's own probe path, or find() misses it.
+    oracle.clear();
+    for (Addr line : lines) {
+        auto [v, inserted] = t.insert(line);
+        ASSERT_TRUE(inserted);
+        v->a = line ^ prm.seed;
+        v->b = -1;
+        oracle[line] = *v;
+        ASSERT_EQ(t.insert(line).first, v);
+    }
+    expectSame(t, oracle);
+    EXPECT_EQ(t.capacity(), peakCapacity);
+
+    // Drain again through the entries' pointers, in random order.
+    for (std::size_t i = lines.size(); i > 1; --i)
+        std::swap(lines[i - 1], lines[rng.below(i)]);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const Val *v = t.find(lines[i]);
+        ASSERT_NE(v, nullptr);
+        t.erase(v);
+        oracle.erase(lines[i]);
+        ASSERT_EQ(t.find(lines[i]), nullptr);
+        if (i % 64 == 0)
+            expectSame(t, oracle);
+    }
+    expectSame(t, oracle);
+    EXPECT_TRUE(t.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(
