@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -27,8 +28,10 @@
 #include "sim/random.hh"
 #include "sim/table.hh"
 #include "system/machine.hh"
+#include "system/xmesh.hh"
 #include "topology/torus.hh"
 #include "topology/torus3d.hh"
+#include "workload/gups.hh"
 #include "workload/load_test.hh"
 
 namespace
@@ -294,6 +297,83 @@ TEST(Golden, RouterLoadTest)
     }
     t.print(os);
     checkGolden("router_load_test.txt", os.str());
+}
+
+// ---------------------------------------------------------------
+// Xmesh profiles (Figures 20/24/27 in miniature): an 8P hot-spot run
+// and an 8P GUPS run on the 4x2 torus, monitored by sys::Xmesh. Every
+// sample row is printed at full double precision, so any change to
+// the monitor's windows, counters or arithmetic shows up bit for bit.
+// ---------------------------------------------------------------
+
+/** Every Xmesh row at %.17g, the mid-run heat map, and the CSV. */
+std::string
+xmeshProfile(const sys::Xmesh &mon)
+{
+    std::string out;
+    char buf[64];
+    auto num = [&](double v) {
+        std::snprintf(buf, sizeof buf, " %.17g", v);
+        out += buf;
+    };
+    for (const auto &s : mon.samples()) {
+        out += std::to_string(s.when);
+        num(s.avgMemUtil);
+        num(s.avgLinkUtil);
+        num(s.avgEastWest);
+        num(s.avgNorthSouth);
+        out += " |";
+        for (double u : s.memUtil)
+            num(u);
+        out += '\n';
+    }
+    if (!mon.samples().empty())
+        out += mon.heatmap(mon.samples()[mon.samples().size() / 2]);
+    std::ostringstream csv;
+    mon.dumpCsv(csv);
+    out += csv.str();
+    return out;
+}
+
+TEST(Golden, XmeshProfiles)
+{
+    const int cpus = 8;
+    std::string out;
+    {
+        sys::Gs1280Options opt;
+        opt.mlp = 8;
+        auto m = sys::Machine::buildGS1280(cpus, opt);
+        sys::Xmesh mon(*m, 25 * tickUs);
+        mon.start();
+        std::vector<std::unique_ptr<wl::HotSpotReads>> gens;
+        std::vector<cpu::TrafficSource *> sources;
+        for (int c = 0; c < cpus; ++c) {
+            gens.push_back(std::make_unique<wl::HotSpotReads>(
+                0, 64ULL << 20, 4000, 40 + static_cast<unsigned>(c)));
+            sources.push_back(gens.back().get());
+        }
+        ASSERT_TRUE(m->run(sources, 20000 * tickMs));
+        mon.stop();
+        out += "hot spot, 8P\n" + xmeshProfile(mon);
+    }
+    {
+        sys::Gs1280Options opt;
+        opt.mlp = 8;
+        auto m = sys::Machine::buildGS1280(cpus, opt);
+        sys::Xmesh mon(*m, 15 * tickUs);
+        mon.start();
+        std::vector<std::unique_ptr<wl::Gups>> gens;
+        std::vector<cpu::TrafficSource *> sources;
+        for (int c = 0; c < cpus; ++c) {
+            gens.push_back(std::make_unique<wl::Gups>(
+                cpus, 64ULL << 20, 5000, 60 + static_cast<unsigned>(c)));
+            sources.push_back(gens.back().get());
+        }
+        ASSERT_TRUE(m->run(sources, 20000 * tickMs));
+        mon.stop();
+        out += "\nGUPS, 8P\n" + xmeshProfile(mon);
+    }
+    checkGolden("xmesh_profiles.txt", out);
 }
 
 // The golden file pins the output against history; this pins it
