@@ -52,6 +52,9 @@ enum class MsgType : std::uint8_t
     VictimAck,      ///< home -> victim sender: buffer may retire
 };
 
+/** Short name of a message type ("RdReq", "BlkDirty", ...). */
+const char *msgTypeName(MsgType type);
+
 /** Number of MsgType values (per-type telemetry arrays). */
 constexpr int numMsgTypes =
     static_cast<int>(MsgType::VictimAck) + 1;

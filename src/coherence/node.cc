@@ -3,11 +3,48 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "coherence/tracer.hh"
 #include "sim/logging.hh"
 
 namespace gs::coher
 {
+
+const char *
+msgTypeName(MsgType type)
+{
+    switch (type) {
+      case MsgType::RdReq:
+        return "RdReq";
+      case MsgType::RdModReq:
+        return "RdModReq";
+      case MsgType::VictimWB:
+        return "VictimWB";
+      case MsgType::VictimClean:
+        return "VictimClean";
+      case MsgType::FwdRd:
+        return "FwdRd";
+      case MsgType::FwdRdMod:
+        return "FwdRdMod";
+      case MsgType::Inval:
+        return "Inval";
+      case MsgType::BlkShared:
+        return "BlkShared";
+      case MsgType::BlkExclusive:
+        return "BlkExclusive";
+      case MsgType::BlkDirty:
+        return "BlkDirty";
+      case MsgType::WBShared:
+        return "WBShared";
+      case MsgType::FwdAckClean:
+        return "FwdAckClean";
+      case MsgType::FwdAckTransfer:
+        return "FwdAckTransfer";
+      case MsgType::InvalAck:
+        return "InvalAck";
+      case MsgType::VictimAck:
+        return "VictimAck";
+    }
+    return "?";
+}
 
 namespace
 {
@@ -104,17 +141,6 @@ CoherentNode::registerTelemetry(telem::Registry &reg,
     for (std::size_t z = 0; z < zboxes.size(); ++z)
         zboxes[z]->registerTelemetry(reg,
                                      telem::path(prefix, "mem", z));
-}
-
-double
-CoherentNode::memUtilization(Tick window_start, Tick now) const
-{
-    if (zboxes.empty())
-        return 0.0;
-    double sum = 0;
-    for (const auto &z : zboxes)
-        sum += z->utilization(window_start, now);
-    return sum / static_cast<double>(zboxes.size());
 }
 
 bool

@@ -196,9 +196,6 @@ class CoherentNode
     const NodeStats &stats() const { return st; }
     void clearStats();
 
-    /** Mean utilization over this node's memory controllers. */
-    double memUtilization(Tick window_start, Tick now) const;
-
     /**
      * Register this node's protocol stats (including per-MsgType
      * send/receive counters under `proto.sent.<Name>` /
@@ -291,8 +288,9 @@ class CoherentNode
 
     /**
      * Observer for every coherence message this node sends or
-     * receives (IO packets excluded). The tracer in tracer.hh is
-     * the standard consumer.
+     * receives (IO packets excluded). Machine::attachTrace uses it
+     * to put each message into a Perfetto trace; the protocol
+     * tests record flows through it.
      */
     using MsgObserver =
         std::function<void(const net::Packet &, bool incoming)>;

@@ -36,13 +36,9 @@ Network::Network(SimContext &context, const topo::Topology &topo,
     core_.build(topo);
     routers.reserve(static_cast<std::size_t>(n));
     handlers.resize(static_cast<std::size_t>(n));
-    linkFlits.resize(static_cast<std::size_t>(n));
     deadNode.assign(static_cast<std::size_t>(n), 0);
-    for (NodeId node = 0; node < n; ++node) {
+    for (NodeId node = 0; node < n; ++node)
         routers.push_back(std::make_unique<Router>(*this, node));
-        linkFlits[static_cast<std::size_t>(node)].assign(
-            static_cast<std::size_t>(topo.numPorts(node)), 0);
-    }
 
     // Default partition: one domain on the build context. A later
     // setPartition replaces this wholesale.
@@ -606,9 +602,6 @@ Network::clearStats()
 {
     for (auto &sh : shards)
         sh->st = NetworkStats{};
-    for (auto &ports : linkFlits)
-        for (auto &flits : ports)
-            flits = 0;
     for (auto &router : routers)
         router->clearStats(ctxOf(router->node()).now());
 }
@@ -752,9 +745,6 @@ Network::saveCkpt(ckpt::Serializer &s) const
             s.put64(mb.minDue[par]);
         }
     }
-    for (const auto &ports : linkFlits)
-        for (std::uint64_t flits : ports)
-            s.put64(flits);
     s.putBool(degraded_);
     for (char dead : deadNode)
         s.put8(static_cast<std::uint8_t>(dead));
@@ -824,9 +814,6 @@ Network::restoreCkpt(ckpt::Deserializer &d)
             mb.minDue[par] = d.get64();
         }
     }
-    for (auto &ports : linkFlits)
-        for (std::uint64_t &flits : ports)
-            flits = d.get64();
     degraded_ = d.getBool();
     for (char &dead : deadNode)
         dead = static_cast<char>(d.get8());

@@ -1,8 +1,7 @@
 /**
  * @file
  * The interconnect fabric: routers wired per a Topology, a cycle
- * ticker, the injection/delivery API used by the layers above, and
- * the per-link utilization counters behind the Xmesh profiles.
+ * ticker, and the injection/delivery API used by the layers above.
  *
  * Domain partitioning: by default the whole fabric lives in one
  * domain driven by one SimContext, exactly as before. Under the
@@ -233,10 +232,14 @@ class Network
      */
     const NetworkStats &stats() const;
 
-    /** Cumulative busy flits on the link out of (node, port). */
+    /**
+     * Cumulative busy flits on the link out of (node, port): the
+     * router's per-port sent-flit counter, exported as
+     * `node.<n>.router.port.<p>.flits`.
+     */
     std::uint64_t linkBusyFlits(NodeId node, int port) const
     {
-        return linkFlits[std::size_t(node)][std::size_t(port)];
+        return routers[std::size_t(node)]->sentFlits(port);
     }
 
     /** Packets currently in flight (injected, not yet delivered). */
@@ -318,11 +321,6 @@ class Network
                          PacketHandle h, int delay_cycles);
     void scheduleCredit(NodeId at_node, int in_port, int vc, int flits);
     void deliverLocal(NodeId node, PacketHandle h);
-    void countLinkFlits(NodeId node, int port, int flits)
-    {
-        linkFlits[std::size_t(node)][std::size_t(port)] +=
-            static_cast<std::uint64_t>(flits);
-    }
     void activate(NodeId at);
     /// @}
 
@@ -439,7 +437,6 @@ class Network
     RouterCore core_; ///< built before the routers, which index it
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<Handler> handlers;
-    std::vector<std::vector<std::uint64_t>> linkFlits;
 
     int nDomains = 1;
     std::vector<int> nodeDom;            ///< empty when nDomains == 1

@@ -471,8 +471,6 @@ Router::grant(Tick now)
             ((winner->inPort < 0 ? srcSlots - 1 : winner->inPort) + 1) %
             srcSlots;
 
-        net.countLinkFlits(id, o, pkt.flits);
-
         topo::Port link = topo.port(id, o);
         // Cut-through: the header is routable downstream after the
         // pipeline + wire + header cycles; the body streams behind

@@ -102,6 +102,12 @@ class Router
         return injQs[static_cast<std::size_t>(cls)].size();
     }
 
+    /** Flits sent out of @p out_port since the last clearStats. */
+    std::uint64_t sentFlits(int out_port) const
+    {
+        return core->sentFlits[pidx(out_port)];
+    }
+
     /** Flit credits currently held for (out_port, vc). */
     int creditsAvailable(int out_port, int vc) const
     {

@@ -53,7 +53,7 @@ namespace gs::ckpt
 constexpr char magic[8] = {'G', 'S', '1', '2', 'C', 'K', 'P', 'T'};
 
 /** Snapshot format version; bump on any layout change. */
-constexpr std::uint32_t formatVersion = 6;
+constexpr std::uint32_t formatVersion = 7;
 
 /** CRC32 (IEEE 802.3, reflected) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

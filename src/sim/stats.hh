@@ -1,9 +1,11 @@
 /**
  * @file
- * Statistics primitives used by every model: scalar counters,
- * running averages, histograms, busy-fraction accumulators, and a
- * periodic time-series sampler (the substrate for the Xmesh-style
- * profiles in Figures 10, 11, 20, 22 and 24 of the paper).
+ * Statistics primitives used by every model: running averages and
+ * fixed-bucket histograms. Counts are plain integer members that
+ * hot paths increment directly; the telemetry registry
+ * (sim/telemetry.hh) reads all of them, and its Sampler records
+ * them over simulated time (the substrate for the Xmesh profiles
+ * in Figures 10, 11, 20, 22 and 24 of the paper).
  */
 
 #ifndef GS_SIM_STATS_HH
@@ -12,9 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/checkpoint.hh"
@@ -23,18 +23,6 @@
 
 namespace gs::stats
 {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t n = 1) { val += n; }
-    void reset() { val = 0; }
-    std::uint64_t value() const { return val; }
-
-  private:
-    std::uint64_t val = 0;
-};
 
 /** Running mean / min / max / count over observed samples. */
 class Average
@@ -140,32 +128,9 @@ class Histogram
     const std::vector<std::uint64_t> &buckets() const { return counts; }
 
     /**
-     * Approximate quantile (q in [0,1]) from bucket midpoints.
-     * An empty histogram has no quantiles: NaN, never a made-up 0
-     * (or edge) that would read like a real measurement.
-     */
-    double
-    quantile(double q) const
-    {
-        if (stat.count() == 0)
-            return std::numeric_limits<double>::quiet_NaN();
-        const std::uint64_t target =
-            static_cast<std::uint64_t>(q * static_cast<double>(stat.count()));
-        std::uint64_t seen = 0;
-        const double width =
-            (upper - lower) / static_cast<double>(counts.size() - 1);
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            seen += counts[i];
-            if (seen > target)
-                return lower + (static_cast<double>(i) + 0.5) * width;
-        }
-        return upper;
-    }
-
-    /**
      * Percentile estimate (q in [0,1]) by linear interpolation
-     * within the containing bucket — the method percentile readers
-     * (p50/p95/p99 telemetry queries) use.
+     * within the containing bucket: the histogram's one estimator,
+     * served by the registry's p50/p95/p99 telemetry queries.
      *
      * Method: with n samples, the rank is r = q*n counted over the
      * cumulative bucket counts; the containing bucket is the first
@@ -176,7 +141,8 @@ class Histogram
      * [lower, upper) span by the rank's fractional position in the
      * bucket. Underflow samples count at the first bucket's nominal
      * span; the overflow bucket spans [range upper, observed max].
-     * An empty histogram reports NaN.
+     * An empty histogram reports NaN, never a made-up 0 that would
+     * read like a real measurement.
      */
     double
     percentile(double q) const
@@ -243,106 +209,6 @@ class Histogram
     double lower, upper;
     std::vector<std::uint64_t> counts;
     Average stat;
-};
-
-/**
- * Tracks the busy fraction of a resource (a link direction, a Zbox)
- * over a measurement window. Components report busy spans; the
- * utilization is busy-time / elapsed-time, exactly what the 21364
- * performance counters expose to Xmesh.
- */
-class Utilization
-{
-  public:
-    /** Record that the resource was busy for @p ticks. */
-    void addBusy(Tick ticks) { busy += ticks; }
-
-    /** Start a measurement window at @p now. */
-    void
-    beginWindow(Tick now)
-    {
-        windowStart = now;
-        busy = 0;
-    }
-
-    /** Busy fraction in [0,1] for the window ending at @p now. */
-    double
-    fraction(Tick now) const
-    {
-        if (now <= windowStart)
-            return 0.0;
-        double f = static_cast<double>(busy)
-                   / static_cast<double>(now - windowStart);
-        return std::min(f, 1.0);
-    }
-
-    Tick busyTicks() const { return busy; }
-
-    /** @name Checkpoint/restore. */
-    /// @{
-    void
-    saveCkpt(ckpt::Serializer &s) const
-    {
-        s.put64(busy);
-        s.put64(windowStart);
-    }
-
-    void
-    restoreCkpt(ckpt::Deserializer &d)
-    {
-        busy = d.get64();
-        windowStart = d.get64();
-    }
-    /// @}
-
-  private:
-    Tick busy = 0;
-    Tick windowStart = 0;
-};
-
-/** One named series of periodic samples (e.g. "MC util, node 3"). */
-struct Series
-{
-    std::string name;
-    std::vector<double> values;
-};
-
-/**
- * Periodic sampler producing the utilization-vs-time histograms the
- * paper plots. An experiment registers probe callbacks; sample()
- * is invoked at a fixed interval and appends one value per probe.
- */
-class TimeSeries
-{
-  public:
-    using Probe = std::function<double()>;
-
-    /** Register a named probe; returns its series index. */
-    std::size_t
-    add(std::string name, Probe probe)
-    {
-        probes.push_back(std::move(probe));
-        data.push_back(Series{std::move(name), {}});
-        return probes.size() - 1;
-    }
-
-    /** Take one sample of every probe. */
-    void
-    sample()
-    {
-        for (std::size_t i = 0; i < probes.size(); ++i)
-            data[i].values.push_back(probes[i]());
-    }
-
-    const std::vector<Series> &series() const { return data; }
-    std::size_t sampleCount() const
-    {
-        return data.empty() ? 0 : data.front().values.size();
-    }
-
-  private:
-    std::vector<Probe> probes;
-    std::vector<Series> data;
 };
 
 } // namespace gs::stats

@@ -25,15 +25,6 @@ Registry::insert(const std::string &p, Entry e)
 }
 
 void
-Registry::addCounter(const std::string &p, const stats::Counter &c)
-{
-    Entry e;
-    e.kind = Kind::Counter;
-    e.counter = &c;
-    insert(p, std::move(e));
-}
-
-void
 Registry::addCounter(const std::string &p, const std::uint64_t &raw)
 {
     Entry e;
@@ -108,9 +99,7 @@ scalarOf(const Registry::Entry &e)
 {
     switch (e.kind) {
       case Registry::Kind::Counter:
-        return e.counter
-                   ? static_cast<double>(e.counter->value())
-                   : static_cast<double>(*e.raw);
+        return static_cast<double>(*e.raw);
       case Registry::Kind::Gauge:
         return e.probe();
       case Registry::Kind::Average:
@@ -551,7 +540,7 @@ putEntryJson(std::ostream &os, const Registry::Entry &e)
 {
     switch (e.kind) {
       case Registry::Kind::Counter:
-        os << (e.counter ? e.counter->value() : *e.raw);
+        os << *e.raw;
         break;
       case Registry::Kind::Gauge:
         putNum(os, e.probe());

@@ -72,7 +72,7 @@ class Registry
     /** Scalar kinds an entry can hold. */
     enum class Kind : std::uint8_t
     {
-        Counter,   ///< monotone count (stats::Counter or raw u64)
+        Counter,   ///< monotone count (a raw u64 member)
         Gauge,     ///< computed-on-read probe
         Average,   ///< mean/min/max/count summary
         Histogram, ///< bucketed distribution
@@ -82,7 +82,6 @@ class Registry
     struct Entry
     {
         Kind kind = Kind::Counter;
-        const stats::Counter *counter = nullptr;
         const std::uint64_t *raw = nullptr;
         Probe probe;
         const stats::Average *avg = nullptr;
@@ -102,8 +101,6 @@ class Registry
 
     /** @name Registration (build time) */
     /// @{
-    void addCounter(const std::string &p, const stats::Counter &c);
-
     /** Raw counter member (what hot paths increment directly). */
     void addCounter(const std::string &p, const std::uint64_t &raw);
 
@@ -177,6 +174,10 @@ class Sampler : public ckpt::Client
     };
 
     Sampler(SimContext &ctx, const Registry &reg, Tick interval);
+
+    /** Pending sample events hold `this`; a copy would share them. */
+    Sampler(const Sampler &) = delete;
+    Sampler &operator=(const Sampler &) = delete;
 
     void watch(const std::string &p);
     void watchRate(const std::string &p, double scale);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "coherence/tracer.hh"
 #include "sim/logging.hh"
 #include "topology/torus.hh"
 #include "topology/torus3d.hh"
@@ -564,39 +563,40 @@ Machine::registerTelemetry()
         });
     }
 
-    // GS1280 routers keep the compass port names the paper uses in
-    // its Figure 24 discussion (E/W/N/S); other fabrics number them.
-    std::function<std::string(int)> portName;
-    if (kind_ == SystemKind::GS1280) {
-        portName = [](int p) -> std::string {
-            switch (p) {
-              case topo::portEast: return "E";
-              case topo::portWest: return "W";
-              case topo::portNorth: return "N";
-              case topo::portSouth: return "S";
-              case topo::portUp: return "U";
-              case topo::portDown: return "D";
-              default: return "p" + std::to_string(p);
-            }
-        };
-    } else {
-        portName = [](int p) { return "p" + std::to_string(p); };
-    }
-
     // Per-node subtrees cost ~250 registry paths each; past 64
     // nodes (the scale-out machines) only the machine-wide
     // aggregates register, keeping registry size and export cost
     // flat in node count. Every shipped 2-D configuration is <= 64
     // nodes, so their exports are untouched.
-    if (topo_->numNodes() > 64)
+    if (!perNodeTelemetry())
         return;
+    const auto portNameOf = [this](int p) { return portName(p); };
     for (NodeId n = 0; n < NodeId(topo_->numNodes()); ++n) {
         std::string base = telem::path("node", n);
         net->router(n).registerTelemetry(
-            telemetry_, telem::path(base, "router"), portName);
+            telemetry_, telem::path(base, "router"), portNameOf);
         if (hasNode(n))
             nodes[std::size_t(n)]->registerTelemetry(telemetry_, base);
     }
+}
+
+std::string
+Machine::portName(int p) const
+{
+    // GS1280 routers keep the compass port names the paper uses in
+    // its Figure 24 discussion (E/W/N/S); other fabrics number them.
+    if (kind_ == SystemKind::GS1280) {
+        switch (p) {
+          case topo::portEast: return "E";
+          case topo::portWest: return "W";
+          case topo::portNorth: return "N";
+          case topo::portSouth: return "S";
+          case topo::portUp: return "U";
+          case topo::portDown: return "D";
+          default: break;
+        }
+    }
+    return "p" + std::to_string(p);
 }
 
 void

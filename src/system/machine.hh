@@ -205,6 +205,20 @@ class Machine
     const telem::Registry &telemetry() const { return telemetry_; }
 
     /**
+     * True when the registry holds the per-node subtrees: machines
+     * of at most 64 nodes. Larger machines register only the
+     * machine-wide aggregates.
+     */
+    bool perNodeTelemetry() const { return topo_->numNodes() <= 64; }
+
+    /**
+     * Registry name of router port @p p, as in
+     * `node.<n>.router.port.<name>.flits`: E/W/N/S (U/D on the 3-D
+     * torus) on GS1280 machines, `p<p>` on other fabrics.
+     */
+    std::string portName(int p) const;
+
+    /**
      * Stream every coherence message into @p trace as an instant
      * event, observed at its receiver, one Perfetto track per node.
      * @p trace must outlive the machine's runs. Replaces any

@@ -1,5 +1,6 @@
 #include "system/xmesh.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -10,15 +11,45 @@ namespace gs::sys
 {
 
 Xmesh::Xmesh(Machine &machine, Tick interval_ticks)
-    : m(machine), interval(interval_ticks)
+    : m(machine),
+      sampler(machine.ctx(), machine.telemetry(), interval_ticks)
 {
-    gs_assert(interval > 0);
     const auto &topo = m.topology();
-    lastLinkFlits.resize(static_cast<std::size_t>(topo.numNodes()));
-    lastZboxBusy.assign(static_cast<std::size_t>(topo.numNodes()), 0);
+    if (!m.perNodeTelemetry())
+        gs_fatal("Xmesh reads the per-node telemetry counters, which a "
+                 "machine above 64 nodes does not register (this one "
+                 "has ", topo.numNodes(), " nodes)");
+    // Samples fire on domain 0's queue; under the parallel engine the
+    // other domains' counters move beneath them mid-epoch.
+    if (m.isParallel())
+        gs_fatal("Xmesh requires the serial engine (threads = 1)");
+
+    const telem::Registry &reg = m.telemetry();
+    auto watch = [this](const std::string &p) {
+        sampler.watch(p);
+        return sampler.series().size() - 1;
+    };
+    nodes.resize(static_cast<std::size_t>(topo.numNodes()));
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
-        lastLinkFlits[std::size_t(n)].assign(
-            static_cast<std::size_t>(topo.numPorts(n)), 0);
+        auto &ns = nodes[std::size_t(n)];
+        const std::string base = telem::path("node", n);
+        if (m.hasNode(n)) {
+            auto &node = m.node(n);
+            for (int z = 0; z < node.zboxCount(); ++z) {
+                ns.zboxes.push_back(
+                    watch(telem::path(base, "mem", z, "busy_ticks")));
+                ns.channels += node.zbox(z).params().channels;
+            }
+        }
+        // Only ports connected at build time are registered.
+        for (int p = 0; p < topo.numPorts(n); ++p) {
+            const std::string flits = telem::path(
+                base, "router", "port", m.portName(p), "flits");
+            if (!reg.has(flits))
+                continue;
+            ns.ports.push_back(p);
+            ns.flits.push_back(watch(flits));
+        }
     }
 }
 
@@ -28,52 +59,79 @@ Xmesh::start()
     if (active)
         return;
     active = true;
-    windowStart = m.ctx().now();
-
-    // Prime the counter snapshots.
-    const auto &topo = m.topology();
-    for (NodeId n = 0; n < topo.numNodes(); ++n) {
-        for (int p = 0; p < topo.numPorts(n); ++p)
-            lastLinkFlits[std::size_t(n)][std::size_t(p)] =
-                m.network().linkBusyFlits(n, p);
-        Tick busy = 0;
-        if (m.hasNode(n)) {
-            auto &node = m.node(n);
-            for (int z = 0; z < node.zboxCount(); ++z)
-                busy += node.zbox(z).stats().busyTicks;
-        }
-        lastZboxBusy[std::size_t(n)] = busy;
-    }
-    m.ctx().queue().schedule(interval, [this] { tick(); });
+    // Record the counters now: this sample opens the first window.
+    sampler.sampleNow();
+    base = sampler.times().size() - 1;
+    seen = sampler.times().size();
+    sampler.start();
 }
 
 void
 Xmesh::stop()
 {
-    active = false;
-}
-
-void
-Xmesh::tick()
-{
     if (!active)
         return;
-    log.push_back(sampleNow());
-    m.ctx().queue().schedule(interval, [this] { tick(); });
+    active = false;
+    sync();
+    // The sampler's tail flush covers a partial window: not a row.
+    sampler.stop();
+    seen = sampler.times().size();
+}
+
+const std::vector<XmeshSample> &
+Xmesh::samples() const
+{
+    sync();
+    return log;
 }
 
 XmeshSample
 Xmesh::sampleNow()
 {
+    sync();
+    // Recorded unless a sample already stands at this instant, in
+    // which case that one is the window's end.
+    sampler.sampleNow();
+    const std::size_t last = sampler.times().size() - 1;
+    XmeshSample s = row(base, last);
+    base = last;
+    seen = last + 1;
+    return s;
+}
+
+void
+Xmesh::sync() const
+{
+    // Samples recorded while running and not yet accounted for are
+    // the sampler's periodic ticks, each closing one window.
+    for (const std::size_t n = sampler.times().size(); seen < n;
+         ++seen) {
+        log.push_back(row(base, seen));
+        base = seen;
+    }
+}
+
+std::uint64_t
+Xmesh::count(std::size_t series, std::size_t i) const
+{
+    // Counters are integers below 2^53, so the double is exact.
+    return i == none ? 0
+                     : static_cast<std::uint64_t>(
+                           sampler.series()[series].values[i]);
+}
+
+XmeshSample
+Xmesh::row(std::size_t from, std::size_t to) const
+{
     const auto &topo = m.topology();
-    const Tick now = m.ctx().now();
-    const Tick window = now > windowStart ? now - windowStart : 1;
+    const Tick start = from == none ? 0 : sampler.times()[from];
+    const Tick now = sampler.times()[to];
+    const Tick window = now > start ? now - start : 1;
     const Tick period = m.network().period();
 
     XmeshSample s;
     s.when = now;
     s.memUtil.assign(static_cast<std::size_t>(topo.numNodes()), 0.0);
-    s.linkUtil.resize(static_cast<std::size_t>(topo.numNodes()));
 
     double memSum = 0;
     int memNodes = 0;
@@ -83,41 +141,31 @@ Xmesh::sampleNow()
     int ewCount = 0, nsCount = 0;
 
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
+        const auto &ns = nodes[std::size_t(n)];
+
         // Memory controllers.
-        Tick busy = 0;
-        int channels = 0;
-        if (m.hasNode(n)) {
-            auto &node = m.node(n);
-            for (int z = 0; z < node.zboxCount(); ++z) {
-                busy += node.zbox(z).stats().busyTicks;
-                channels += node.zbox(z).params().channels;
-            }
-        }
-        if (channels > 0) {
-            Tick delta = busy - lastZboxBusy[std::size_t(n)];
+        if (ns.channels > 0) {
+            Tick delta = 0;
+            for (std::size_t z : ns.zboxes)
+                delta += count(z, to) - count(z, from);
             double util = static_cast<double>(delta) /
-                          (static_cast<double>(window) * channels);
+                          (static_cast<double>(window) * ns.channels);
             s.memUtil[std::size_t(n)] = std::min(util, 1.0);
             memSum += s.memUtil[std::size_t(n)];
             memNodes += 1;
         }
-        lastZboxBusy[std::size_t(n)] = busy;
 
         // Links.
-        auto &ports = s.linkUtil[std::size_t(n)];
-        ports.assign(static_cast<std::size_t>(topo.numPorts(n)), 0.0);
-        for (int p = 0; p < topo.numPorts(n); ++p) {
+        for (std::size_t i = 0; i < ns.ports.size(); ++i) {
+            const int p = ns.ports[i];
             if (!topo.port(n, p).connected())
                 continue;
-            std::uint64_t flits = m.network().linkBusyFlits(n, p);
             std::uint64_t delta =
-                flits - lastLinkFlits[std::size_t(n)][std::size_t(p)];
-            lastLinkFlits[std::size_t(n)][std::size_t(p)] = flits;
+                count(ns.flits[i], to) - count(ns.flits[i], from);
             double util = static_cast<double>(delta) *
                           static_cast<double>(period) /
                           static_cast<double>(window);
             util = std::min(util, 1.0);
-            ports[std::size_t(p)] = util;
             linkSum += util;
             linkCount += 1;
             if (p == topo::portEast || p == topo::portWest) {
@@ -134,8 +182,6 @@ Xmesh::sampleNow()
     s.avgLinkUtil = linkCount ? linkSum / linkCount : 0.0;
     s.avgEastWest = ewCount ? ewSum / ewCount : 0.0;
     s.avgNorthSouth = nsCount ? nsSum / nsCount : 0.0;
-
-    windowStart = now;
     return s;
 }
 
@@ -143,11 +189,11 @@ void
 Xmesh::dumpCsv(std::ostream &os) const
 {
     os << "timestamp_us,avg_mem,avg_link,avg_ew,avg_ns";
-    const int nodes = m.topology().numNodes();
-    for (int n = 0; n < nodes; ++n)
+    const int nodeCount = m.topology().numNodes();
+    for (int n = 0; n < nodeCount; ++n)
         os << ",mem" << n;
     os << '\n';
-    for (const auto &s : log) {
+    for (const auto &s : samples()) {
         os << ticksToNs(s.when) / 1000.0 << ',' << s.avgMemUtil << ','
            << s.avgLinkUtil << ',' << s.avgEastWest << ','
            << s.avgNorthSouth;

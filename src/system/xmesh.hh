@@ -4,20 +4,26 @@
  *
  * The real Xmesh tool [11] displays run-time utilization of CPUs,
  * memory controllers, inter-processor links and I/O ports from the
- * 21364's built-in performance counters. This model samples the
- * same quantities from the simulator's counters at a fixed interval,
- * producing the utilization-vs-time series of Figures 10/11/20/22/24
- * and the hot-spot display of Figure 27 (rendered as ASCII).
+ * 21364's built-in performance counters. This model is a view over
+ * the machine's telemetry: a telem::Sampler records the registry's
+ * per-port flit counters (`node.<n>.router.port.<p>.flits`) and
+ * per-Zbox busy-tick counters (`node.<n>.mem.<z>.busy_ticks`) at a
+ * fixed interval, and Xmesh turns each window's deltas into the
+ * utilization-vs-time series of Figures 10/11/20/22/24 and the
+ * hot-spot display of Figure 27 (rendered as ASCII).
  */
 
 #ifndef GS_SYSTEM_XMESH_HH
 #define GS_SYSTEM_XMESH_HH
 
-#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "sim/telemetry.hh"
 #include "system/machine.hh"
 
 namespace gs::sys
@@ -31,16 +37,18 @@ struct XmeshSample
     /** Per-node memory-controller utilization [0,1]. */
     std::vector<double> memUtil;
 
-    /** Per-node, per-port outbound link utilization [0,1]. */
-    std::vector<std::vector<double>> linkUtil;
-
     double avgMemUtil = 0;
     double avgLinkUtil = 0;  ///< over connected network ports
     double avgEastWest = 0;  ///< torus horizontal links only
     double avgNorthSouth = 0;
 };
 
-/** Periodic sampler over a Machine's counters. */
+/**
+ * Periodic utilization view over a Machine's telemetry registry.
+ * Needs the per-node registry subtrees and the serial engine, so
+ * machines above 64 nodes (Machine::perNodeTelemetry) and parallel
+ * machines are refused.
+ */
 class Xmesh
 {
   public:
@@ -53,12 +61,19 @@ class Xmesh
     /** Begin sampling; the first sample lands one interval ahead. */
     void start();
 
-    /** Stop sampling (pending tick becomes a no-op). */
+    /**
+     * Stop sampling. Samples are whole intervals: the partial window
+     * since the last one is not a sample.
+     */
     void stop();
 
-    const std::vector<XmeshSample> &samples() const { return log; }
+    const std::vector<XmeshSample> &samples() const;
 
-    /** Take a single sample immediately (without start()). */
+    /**
+     * Take a single sample immediately (without start()): the window
+     * since the previous sample, start() or sampleNow(). It is
+     * returned, not logged, and the next sample's window opens here.
+     */
     XmeshSample sampleNow();
 
     /**
@@ -76,17 +91,38 @@ class Xmesh
     void dumpCsv(std::ostream &os) const;
 
   private:
-    void tick();
+    static constexpr std::size_t none =
+        std::numeric_limits<std::size_t>::max();
+
+    /** A node's watched counters, as indices into the sampler. */
+    struct NodeSeries
+    {
+        std::vector<std::size_t> zboxes; ///< busy_ticks series
+        int channels = 0;                ///< summed over the zboxes
+        std::vector<int> ports;          ///< registered ports
+        std::vector<std::size_t> flits;  ///< their flits series
+    };
+
+    /** Counter @p series at recorded sample @p i (0 at none). */
+    std::uint64_t count(std::size_t series, std::size_t i) const;
+
+    /** The window from sample @p from (none: time 0) to @p to. */
+    XmeshSample row(std::size_t from, std::size_t to) const;
+
+    /** Log every periodic sample the sampler recorded since. */
+    void sync() const;
 
     Machine &m;
-    Tick interval;
+    telem::Sampler sampler;
+    std::vector<NodeSeries> nodes;
     bool active = false;
 
-    Tick windowStart = 0;
-    std::vector<std::vector<std::uint64_t>> lastLinkFlits;
-    std::vector<Tick> lastZboxBusy;
-
-    std::vector<XmeshSample> log;
+    /** @name Rows derived from the sampler's record, on demand */
+    /// @{
+    mutable std::size_t base = none; ///< sample opening the window
+    mutable std::size_t seen = 0;    ///< samples accounted for
+    mutable std::vector<XmeshSample> log;
+    /// @}
 };
 
 } // namespace gs::sys

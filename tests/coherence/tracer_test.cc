@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "coherence/tracer.hh"
 #include "net/network.hh"
+#include "protocol_tracer.hh"
 #include "topology/torus.hh"
 
 namespace

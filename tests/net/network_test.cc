@@ -11,8 +11,10 @@
 #include "sim/checkpoint.hh"
 #include "sim/random.hh"
 #include "sim/telemetry.hh"
+#include "system/machine.hh"
 #include "topology/torus.hh"
 #include "topology/tree.hh"
+#include "workload/gups.hh"
 
 namespace
 {
@@ -448,6 +450,41 @@ TEST(Network, ClearStatsResets)
     f.net.clearStats();
     EXPECT_EQ(f.net.stats().deliveredPackets, 0u);
     EXPECT_EQ(f.net.linkBusyFlits(0, topo::portEast), 0u);
+}
+
+// One grant bumps one counter: the link utilization Xmesh and the
+// fault tests read is the router's per-port flit count the registry
+// exports, not a second copy kept beside it.
+TEST(Network, LinkBusyFlitsIsTheRouterPortCounter)
+{
+    auto m = sys::Machine::buildGS1280(8); // 4x2 torus
+    std::vector<std::unique_ptr<wl::Gups>> gens;
+    std::vector<cpu::TrafficSource *> sources;
+    for (int c = 0; c < 8; ++c) {
+        gens.push_back(std::make_unique<wl::Gups>(
+            8, 64ULL << 20, 500, 70 + static_cast<unsigned>(c)));
+        sources.push_back(gens.back().get());
+    }
+    ASSERT_TRUE(m->run(sources));
+
+    const auto &topo = m->topology();
+    int ports = 0;
+    for (NodeId n = 0; n < topo.numNodes(); ++n) {
+        for (int p = 0; p < topo.numPorts(n); ++p) {
+            if (!topo.port(n, p).connected())
+                continue;
+            const std::string path = telem::path(
+                "node", n, "router", "port", m->portName(p), "flits");
+            ASSERT_TRUE(m->telemetry().has(path)) << path;
+            EXPECT_GT(m->network().linkBusyFlits(n, p), 0u) << path;
+            EXPECT_EQ(static_cast<double>(
+                          m->network().linkBusyFlits(n, p)),
+                      m->telemetry().value(path))
+                << path;
+            ports += 1;
+        }
+    }
+    EXPECT_EQ(ports, 8 * 4);
 }
 
 } // namespace

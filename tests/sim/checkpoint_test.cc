@@ -172,6 +172,36 @@ TEST(CheckpointFormat, RejectsVersionMismatch)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointFormat, RejectsPreviousVersionNamingBoth)
+{
+    // A snapshot written before the last layout change (the previous
+    // formatVersion) must be refused, and the error must say which
+    // version the file is and which this build reads.
+    const std::string path = tmpPath("ckpt_oldver.gsckpt");
+    auto s = sampleSnapshot();
+    std::string err;
+    ASSERT_TRUE(ckpt::writeSnapshot(path, s, &err)) << err;
+    {
+        const std::uint32_t old = ckpt::formatVersion - 1;
+        char ver[4];
+        for (int i = 0; i < 4; ++i)
+            ver[i] = static_cast<char>(old >> (8 * i));
+        std::fstream f(path,
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(8);
+        f.write(ver, 4);
+    }
+    std::vector<std::uint8_t> buf;
+    std::size_t off = 0;
+    EXPECT_FALSE(ckpt::readSnapshot(path, &buf, &off, &err));
+    const std::string want =
+        "format version " + std::to_string(ckpt::formatVersion - 1) +
+        ", this build reads version " +
+        std::to_string(ckpt::formatVersion);
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointFormat, RejectsFileSmallerThanHeader)
 {
     const std::string path = tmpPath("ckpt_tiny.gsckpt");

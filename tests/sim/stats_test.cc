@@ -11,17 +11,6 @@ namespace
 
 using namespace gs::stats;
 
-TEST(Counter, IncrementAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(41);
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Average, TracksMeanMinMax)
 {
     Average a;
@@ -82,15 +71,6 @@ TEST(Histogram, UpperEdgeLandsInLastRealBucket)
     EXPECT_EQ(b[b.size() - 2], 1u);
 }
 
-TEST(Histogram, QuantileApproximatesMedian)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i));
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-}
-
 TEST(Histogram, PercentileInterpolatesWithinBuckets)
 {
     Histogram h(0.0, 100.0, 100);
@@ -124,7 +104,6 @@ TEST(Histogram, PercentileOfEmptyIsNaN)
     // would read as a (wrong) measurement downstream.
     Histogram h(0.0, 10.0, 10);
     EXPECT_TRUE(std::isnan(h.percentile(0.5)));
-    EXPECT_TRUE(std::isnan(h.quantile(0.5)));
 }
 
 TEST(Histogram, PercentileOverflowInterpolatesToMax)
@@ -150,45 +129,6 @@ TEST(Histogram, ResetClearsCountsAndSummary)
     EXPECT_TRUE(std::isnan(h.percentile(0.5)));
     h.sample(2.0);
     EXPECT_EQ(h.summary().count(), 1u);
-}
-
-TEST(Utilization, FractionOfWindow)
-{
-    Utilization u;
-    u.beginWindow(1000);
-    u.addBusy(250);
-    EXPECT_DOUBLE_EQ(u.fraction(2000), 0.25);
-}
-
-TEST(Utilization, ClampsToOne)
-{
-    Utilization u;
-    u.beginWindow(0);
-    u.addBusy(5000);
-    EXPECT_DOUBLE_EQ(u.fraction(1000), 1.0);
-}
-
-TEST(Utilization, EmptyWindowIsZero)
-{
-    Utilization u;
-    u.beginWindow(100);
-    EXPECT_DOUBLE_EQ(u.fraction(100), 0.0);
-}
-
-TEST(TimeSeries, SamplesEveryProbe)
-{
-    TimeSeries ts;
-    double x = 1.0;
-    ts.add("x", [&] { return x; });
-    ts.add("2x", [&] { return 2 * x; });
-    ts.sample();
-    x = 3.0;
-    ts.sample();
-    ASSERT_EQ(ts.series().size(), 2u);
-    EXPECT_EQ(ts.sampleCount(), 2u);
-    EXPECT_DOUBLE_EQ(ts.series()[0].values[1], 3.0);
-    EXPECT_DOUBLE_EQ(ts.series()[1].values[0], 2.0);
-    EXPECT_EQ(ts.series()[1].name, "2x");
 }
 
 } // namespace

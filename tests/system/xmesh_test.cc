@@ -77,6 +77,48 @@ TEST(Xmesh, UtilizationsAreBounded)
     }
 }
 
+TEST(Xmesh, RowsAreWholeWindows)
+{
+    auto m = Machine::buildGS1280(4);
+    const Tick interval = 10 * tickUs;
+    Xmesh mon(*m, interval);
+    const Tick start = m->ctx().now();
+    mon.start();
+    wl::StreamTriad triad(m->cpuAddr(0, 0), 1 << 20);
+    ASSERT_TRUE(m->run({&triad}));
+    mon.stop();
+    const Tick end = m->ctx().now();
+
+    // One row per interval edge crossed; the partial window between
+    // the last edge and stop() is not a row.
+    ASSERT_EQ(mon.samples().size(), (end - start) / interval);
+    for (std::size_t i = 0; i < mon.samples().size(); ++i)
+        EXPECT_EQ(mon.samples()[i].when, start + (i + 1) * interval);
+}
+
+TEST(XmeshDeath, MachineWithoutPerNodeTelemetryIsFatal)
+{
+    // Past 64 nodes the registry holds no node.<n>.* paths to read.
+    auto m = Machine::buildGS1280_3D(4, 4, 8);
+    ASSERT_FALSE(m->perNodeTelemetry());
+    EXPECT_EXIT(Xmesh(*m, 10 * tickUs), ::testing::ExitedWithCode(1),
+                "Xmesh reads the per-node telemetry counters");
+}
+
+TEST(XmeshDeath, ParallelMachineIsFatal)
+{
+    // Domain 0's sample event would read the other domains' router
+    // and Zbox counters while their workers update them.
+    EXPECT_EXIT(
+        {
+            Gs1280Options opt;
+            opt.threads = 2;
+            auto m = Machine::buildGS1280(8, opt);
+            Xmesh mon(*m, 10 * tickUs);
+        },
+        ::testing::ExitedWithCode(1), "Xmesh requires the serial engine");
+}
+
 TEST(Xmesh, HeatmapRendersGrid)
 {
     auto m = Machine::buildGS1280(4);
