@@ -21,9 +21,9 @@
 #include "topology/torus.hh"
 #include "workload/gups.hh"
 
-// The frozen pre-SoA router, kept verbatim as the A/B reference
+// The frozen original router, kept verbatim as the A/B reference
 // (tests/net/router_ab_test.cc proves bit-identity; BM_RouterStorm*
-// below measures what the layout change buys).
+// below measures what the production router's hot path buys).
 #include "../tests/net/legacy_router.hh"
 
 namespace
@@ -265,9 +265,9 @@ BENCHMARK(BM_NetworkPacketDeliveryRegistered);
  * The router hot-path microbenchmark: a seeded uniform-random packet
  * storm on an 8x8 torus, injected in bursts deep enough to keep every
  * VC arbitration, credit round-trip and link serialization busy, then
- * drained. Templated over the fabric so the SoA Network and the frozen
- * legacy AoS router run the exact same traffic; items/sec is packets
- * delivered per wall second.
+ * drained. Templated over the fabric so the production Network and the
+ * frozen legacy router run the exact same traffic; items/sec is
+ * packets delivered per wall second.
  */
 template <typename Net, typename... Extra>
 void
@@ -306,11 +306,11 @@ routerStorm(benchmark::State &state, Extra &&...extra)
 }
 
 void
-BM_RouterStormSoA(benchmark::State &state)
+BM_RouterStorm(benchmark::State &state)
 {
     routerStorm<net::Network>(state, net::NetworkParams::gs1280());
 }
-BENCHMARK(BM_RouterStormSoA);
+BENCHMARK(BM_RouterStorm);
 
 void
 BM_RouterStormLegacy(benchmark::State &state)

@@ -33,7 +33,6 @@ Network::Network(SimContext &context, const topo::Topology &topo,
       tickPeriod(params.period())
 {
     const int n = topo.numNodes();
-    core_.build(topo);
     routers.reserve(static_cast<std::size_t>(n));
     handlers.resize(static_cast<std::size_t>(n));
     deadNode.assign(static_cast<std::size_t>(n), 0);

@@ -24,7 +24,6 @@
 #include "net/packet_pool.hh"
 #include "net/params.hh"
 #include "net/router.hh"
-#include "net/router_core.hh"
 #include "sim/context.hh"
 #include "sim/parallel.hh"
 #include "sim/stats.hh"
@@ -208,10 +207,6 @@ class Network
     {
         return *routers[std::size_t(node)];
     }
-
-    /** The flat per-port/per-VC state every Router indexes into. */
-    RouterCore &routerCore() { return core_; }
-    const RouterCore &routerCore() const { return core_; }
 
     /**
      * Domain 0's packet slab — with the default single-domain
@@ -434,7 +429,6 @@ class Network
     NetworkParams prm;
     Tick tickPeriod;
 
-    RouterCore core_; ///< built before the routers, which index it
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<Handler> handlers;
 

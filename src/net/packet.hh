@@ -32,6 +32,12 @@ enum class MsgClass : std::uint8_t
     IO,            ///< I/O traffic (no adaptive channel)
 };
 
+/** Index of a pooled packet slot (stable for the packet's flight). */
+using PacketHandle = std::uint32_t;
+
+/** Sentinel for "no packet"; also ends a packet queue. */
+constexpr PacketHandle invalidHandle = 0xffffffffu;
+
 /** Number of message classes. */
 constexpr int numClasses = 5;
 
@@ -101,6 +107,15 @@ struct Packet
 
     Tick injected = 0; ///< when handed to the source router
     int hops = 0;      ///< network links traversed so far
+
+    /**
+     * The packet behind this one in the router queue that holds it
+     * (PacketQueue, packet_pool.hh); invalidHandle at a queue's tail.
+     * Fills what was padding after @c hops. Router state, not part
+     * of the packet: never serialized, and meaningless while the
+     * packet is not queued.
+     */
+    PacketHandle next = invalidHandle;
 
     /**
      * Opaque payload for the layer above the network (the coherence

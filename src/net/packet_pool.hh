@@ -1,7 +1,7 @@
 /**
  * @file
- * Freelist pool for in-flight packets, plus the flat FIFO the router
- * queues handles in.
+ * Freelist pool for in-flight packets, and the FIFO the routers
+ * queue them in.
  *
  * A packet used to be copied by value into every buffer, lambda and
  * deque node between injection and delivery — a 64-byte memcpy per
@@ -10,6 +10,10 @@
  * fabric moves 4-byte handles instead. Slots recycle LIFO through a
  * freelist, so a warmed-up network allocates nothing per packet
  * (telemetry: `net.packet_pool.reuse` vs `.allocated`).
+ *
+ * Router queues are threaded through the pool: a PacketQueue is two
+ * handles, and each queued packet links to the one behind it through
+ * Packet::next. A queue owns no storage of its own.
  */
 
 #ifndef GS_NET_PACKET_POOL_HH
@@ -17,6 +21,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "net/packet.hh"
@@ -26,11 +31,12 @@
 namespace gs::net
 {
 
-/** Index of a pooled packet slot (stable for the packet's flight). */
-using PacketHandle = std::uint32_t;
-
-/** Sentinel for "no packet". */
-constexpr PacketHandle invalidHandle = 0xffffffffu;
+/**
+ * Packet::next of every slot a pool restore rebuilds, until a
+ * restored queue links it. A queue that meets a slot not carrying it
+ * has met a handle some queue already holds.
+ */
+constexpr PacketHandle unlinkedHandle = 0xfffffffeu;
 
 /** @name Field-wise Packet serialization (layout-stable format). */
 /// @{
@@ -97,11 +103,11 @@ class PacketPool
         } else {
             h = static_cast<PacketHandle>(slots.size());
             slots.emplace_back();
-            live.push_back(0);
+            liveFlags.push_back(0);
             st.allocated += 1;
         }
-        gs_assert(!live[h], "pool slot acquired twice");
-        live[h] = 1;
+        gs_assert(!liveFlags[h], "pool slot acquired twice");
+        liveFlags[h] = 1;
         slots[h] = pkt;
         inUse_ += 1;
         if (inUse_ > st.peakInUse)
@@ -117,8 +123,8 @@ class PacketPool
     void
     release(PacketHandle h)
     {
-        gs_assert(live[h], "pool slot released twice");
-        live[h] = 0;
+        gs_assert(liveFlags[h], "pool slot released twice");
+        liveFlags[h] = 0;
         freeList.push_back(h);
         inUse_ -= 1;
     }
@@ -129,6 +135,13 @@ class PacketPool
     /** Total slots backing the pool. */
     std::size_t capacity() const { return slots.size(); }
 
+    /** True when @p h names an acquired, not yet released slot. */
+    bool
+    isLive(PacketHandle h) const
+    {
+        return h < liveFlags.size() && liveFlags[h] != 0;
+    }
+
     const Stats &stats() const { return st; }
 
     /** @name Checkpoint/restore.
@@ -136,7 +149,12 @@ class PacketPool
      * The pool is restored *verbatim* — slot contents, freelist order
      * and live flags — so every PacketHandle serialized elsewhere in
      * the snapshot (router queues, event descriptors) indexes the
-     * same packet after restore.
+     * same packet after restore. Restore refuses a freelist handle
+     * out of range, listed twice or flagged live, an in-use count
+     * that disagrees with the live flags, and a slot that is neither
+     * live nor free. Every restored slot comes back unlinked
+     * (Packet::next == unlinkedHandle) for the router queues to
+     * relink.
      */
     /// @{
     void
@@ -148,7 +166,7 @@ class PacketPool
         s.put32(static_cast<std::uint32_t>(freeList.size()));
         for (PacketHandle h : freeList)
             s.put32(h);
-        for (char f : live)
+        for (char f : liveFlags)
             s.put8(static_cast<std::uint8_t>(f));
         s.put64(inUse_);
         s.put64(st.allocated);
@@ -161,104 +179,153 @@ class PacketPool
     {
         std::uint32_t n = d.get32();
         slots.clear();
-        live.clear();
+        liveFlags.clear();
         for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
             slots.emplace_back();
             restorePacket(d, slots.back());
+            slots.back().next = unlinkedHandle;
         }
         std::uint32_t nf = d.get32();
         freeList.clear();
         for (std::uint32_t i = 0; i < nf && d.ok(); ++i)
             freeList.push_back(d.get32());
-        live.resize(n, 0);
-        for (std::uint32_t i = 0; i < n && d.ok(); ++i)
-            live[i] = static_cast<char>(d.get8());
+        liveFlags.resize(n, 0);
+        std::uint64_t nLive = 0;
+        for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
+            liveFlags[i] = static_cast<char>(d.get8());
+            nLive += liveFlags[i] != 0 ? 1 : 0;
+        }
         inUse_ = d.get64();
         st.allocated = d.get64();
         st.reused = d.get64();
         st.peakInUse = d.get64();
+        if (!d.ok())
+            return;
+
+        auto refuse = [&d](const std::string &why) {
+            d.fail("snapshot packet pool: " + why);
+        };
+        std::vector<char> isFree(n, 0);
+        for (PacketHandle h : freeList) {
+            const std::string hs = "freelist handle " + std::to_string(h);
+            if (h >= n)
+                return refuse(hs + " out of range (" + std::to_string(n) +
+                              " slots)");
+            if (isFree[h])
+                return refuse(hs + " listed twice");
+            if (liveFlags[h])
+                return refuse(hs + " is flagged live");
+            isFree[h] = 1;
+        }
+        if (inUse_ != nLive)
+            return refuse("in-use count " + std::to_string(inUse_) +
+                          " disagrees with " + std::to_string(nLive) +
+                          " live flags");
+        if (freeList.size() + nLive != n)
+            return refuse(std::to_string(n - freeList.size() - nLive) +
+                          " slots are neither live nor free");
     }
     /// @}
 
   private:
     std::deque<Packet> slots;
     std::vector<PacketHandle> freeList;
-    std::vector<char> live;
+    std::vector<char> liveFlags;
     std::uint64_t inUse_ = 0;
     Stats st;
 };
 
 /**
- * FIFO of packet handles with contiguous storage: pushes append,
- * pops advance a head cursor, and the consumed prefix is recycled
- * (cheap u32 memmove) instead of freeing chunks the way a deque
- * does. Steady state allocates nothing.
+ * FIFO of pooled packets, linked through Packet::next: the queue is
+ * its two end handles, and a push or a pop writes one link. A packet
+ * sits in at most one queue at a time. Every operation that follows
+ * or writes links takes the pool the packets live in.
  */
-class HandleQueue
+class PacketQueue
 {
   public:
-    bool empty() const { return head_ == q.size(); }
-    std::size_t size() const { return q.size() - head_; }
+    bool empty() const { return head == invalidHandle; }
 
-    void push(PacketHandle h) { q.push_back(h); }
-
-    PacketHandle front() const { return q[head_]; }
+    PacketHandle front() const { return head; }
 
     void
-    pop()
+    push(PacketPool &pool, PacketHandle h)
     {
-        head_ += 1;
-        if (head_ == q.size()) {
-            q.clear();
-            head_ = 0;
-        } else if (head_ >= compactAt && head_ * 2 >= q.size()) {
-            q.erase(q.begin(),
-                    q.begin() + static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
+        pool.get(h).next = invalidHandle;
+        if (head == invalidHandle)
+            head = h;
+        else
+            pool.get(tail).next = h;
+        tail = h;
     }
 
+    PacketHandle
+    pop(PacketPool &pool)
+    {
+        const PacketHandle h = head;
+        head = pool.get(h).next;
+        return h;
+    }
+
+    void clear() { head = tail = invalidHandle; }
+
+    /** Call @p f on every queued handle, front to back. */
+    template <typename F>
     void
-    clear()
+    forEach(const PacketPool &pool, F &&f) const
     {
-        q.clear();
-        head_ = 0;
+        for (PacketHandle h = head; h != invalidHandle;
+             h = pool.get(h).next)
+            f(h);
     }
 
-    /** @name Iteration over the unconsumed handles (diagnostics) */
+    std::size_t
+    size(const PacketPool &pool) const
+    {
+        std::size_t n = 0;
+        forEach(pool, [&n](PacketHandle) { n += 1; });
+        return n;
+    }
+
+    /** @name Checkpoint/restore: the handle sequence, front to back.
+     *
+     * Restore runs after the pool's own restore and refuses, naming
+     * @p where, a handle that is not a live packet or that a queue
+     * restored since already holds (which would otherwise tie two
+     * queues together, or this one into a cycle).
+     */
     /// @{
-    auto begin() const
-    {
-        return q.begin() + static_cast<std::ptrdiff_t>(head_);
-    }
-    auto end() const { return q.end(); }
-    /// @}
-
-    /** @name Checkpoint/restore: the unconsumed handle sequence. */
-    /// @{
     void
-    saveCkpt(ckpt::Serializer &s) const
+    saveCkpt(ckpt::Serializer &s, const PacketPool &pool) const
     {
-        s.put32(static_cast<std::uint32_t>(size()));
-        for (PacketHandle h : *this)
-            s.put32(h);
+        s.put32(static_cast<std::uint32_t>(size(pool)));
+        forEach(pool, [&s](PacketHandle h) { s.put32(h); });
     }
 
     void
-    restoreCkpt(ckpt::Deserializer &d)
+    restoreCkpt(ckpt::Deserializer &d, PacketPool &pool,
+                const std::string &where)
     {
         clear();
-        std::uint32_t n = d.get32();
-        for (std::uint32_t i = 0; i < n && d.ok(); ++i)
-            push(d.get32());
+        const std::uint32_t n = d.get32();
+        for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
+            const PacketHandle h = d.get32();
+            if (!d.ok())
+                return;
+            const std::string hs = "handle " + std::to_string(h);
+            if (!pool.isLive(h))
+                return d.fail(where + ": queued " + hs +
+                              " is not a live packet");
+            if (pool.get(h).next != unlinkedHandle)
+                return d.fail(where + ": " + hs + " is queued twice");
+            push(pool, h);
+        }
     }
     /// @}
 
   private:
-    static constexpr std::size_t compactAt = 64;
-
-    std::vector<PacketHandle> q;
-    std::size_t head_ = 0;
+    PacketHandle head = invalidHandle;
+    PacketHandle tail = invalidHandle;
 };
 
 } // namespace gs::net

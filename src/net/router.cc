@@ -10,28 +10,26 @@ namespace gs::net
 {
 
 Router::Router(Network &network, NodeId node)
-    : net(network), id(node), core(&network.routerCore())
+    : net(network), id(node), nPorts(network.topology().numPorts(node))
 {
     const auto &topo = net.topology();
     const auto &prm = net.params();
-    const RouterCore::NodeRef &ref = core->ref(id);
-    pb = ref.portBase;
-    sb = ref.slotBase;
-    nPorts = static_cast<int>(ref.ports);
 
     gs_assert(nPorts <= INT8_MAX, "route memo stores ports as int8");
-    vcQ.resize(static_cast<std::size_t>(nPorts) * numVcs);
-    vcMask.assign(static_cast<std::size_t>(nPorts), 0);
-    vcMemo.resize(vcQ.size());
+    const auto nSlots = static_cast<std::size_t>(nPorts) * numVcs;
+    ports.resize(static_cast<std::size_t>(nPorts));
+    slots.resize(nSlots);
+    portStats.resize(static_cast<std::size_t>(nPorts));
+    slotStats.resize(nSlots);
 
     for (int p = 0; p < nPorts; ++p) {
         topo::Port link = topo.port(id, p);
-        core->connected[pidx(p)] = link.connected() ? 1 : 0;
+        port(p).connected = link.connected();
         if (!link.connected())
             continue;
-        core->wireCycles[pidx(p)] = prm.wireCycles(link.kind);
+        port(p).wireCycles = prm.wireCycles(link.kind);
         for (int vc = 0; vc < numVcs; ++vc)
-            core->credits[sidx(p, vc)] = vcCapacity(vc);
+            slots[slot(p, vc)].credits = vcCapacity(vc);
     }
 
     gs_assert(prm.escapeVcFlits >= dataFlits &&
@@ -42,7 +40,8 @@ Router::Router(Network &network, NodeId node)
 void
 Router::receive(int in_port, int vc, PacketHandle h)
 {
-    Packet &pkt = net.poolOf(id).get(h);
+    PacketPool &pool = net.poolOf(id);
+    Packet &pkt = pool.get(h);
     pkt.hops += 1;
     // Latency x-ray: link transit ends here; buffered time counts as
     // VC-arbitration wait. At the destination the packet keeps
@@ -51,12 +50,12 @@ Router::receive(int in_port, int vc, PacketHandle h)
     // attribute their whole return to Reply, so only phase 0 hooks.
     if (pkt.span.id != 0 && pkt.span.phase == 0 && pkt.dst != id)
         pkt.span.advance(net.ctxOf(id).now(), trace::VcWait);
-    core->flitsUsed[sidx(in_port, vc)] += pkt.flits;
-    core->recvFlits[sidx(in_port, vc)] +=
+    Slot &sl = slots[slot(in_port, vc)];
+    sl.flitsUsed += pkt.flits;
+    slotStats[slot(in_port, vc)].recvFlits +=
         static_cast<std::uint64_t>(pkt.flits);
-    vcQ[slot(in_port, vc)].push(h);
-    vcMask[static_cast<std::size_t>(in_port)] |=
-        static_cast<std::uint16_t>(1u << vc);
+    sl.q.push(pool, h);
+    port(in_port).vcMask |= static_cast<std::uint16_t>(1u << vc);
     if (pkt.dst == id)
         ejectable += 1;
     buffered += 1;
@@ -66,7 +65,7 @@ Router::receive(int in_port, int vc, PacketHandle h)
 void
 Router::creditReturn(int out_port, int vc, int flits)
 {
-    auto &credits = core->credits[sidx(out_port, vc)];
+    auto &credits = slots[slot(out_port, vc)].credits;
     credits += flits;
     // A credit that was on the wire across a link repair arrives on
     // top of the resynced count; clamp rather than overflow the
@@ -93,21 +92,20 @@ Router::syncPorts()
     const auto &prm = net.params();
     for (int p = 0; p < nPorts; ++p) {
         topo::Port link = topo.port(id, p);
-        const bool wasConnected = core->connected[pidx(p)] != 0;
-        if (wasConnected == link.connected())
+        if (port(p).connected == link.connected())
             continue;
-        core->connected[pidx(p)] = link.connected() ? 1 : 0;
+        port(p).connected = link.connected();
         if (!link.connected())
             continue;
         // Reconnected (repair, or the peer router came back): the
         // peer's input buffers kept their contents, so our credit
         // view restarts at capacity minus what is still buffered
         // there. busyUntil is stale by at most one transfer.
-        core->wireCycles[pidx(p)] = prm.wireCycles(link.kind);
-        core->busyUntil[pidx(p)] = 0;
+        port(p).wireCycles = prm.wireCycles(link.kind);
+        port(p).busyUntil = 0;
         const Router &peer = net.router(link.peer);
         for (int vc = 0; vc < numVcs; ++vc) {
-            core->credits[sidx(p, vc)] =
+            slots[slot(p, vc)].credits =
                 vcCapacity(vc) - peer.vcOccupancy(link.peerPort, vc);
         }
     }
@@ -118,8 +116,7 @@ Router::flushAll()
 {
     for (int p = 0; p < nPorts; ++p) {
         for (int vc = 0; vc < numVcs; ++vc) {
-            auto &q = vcQ[slot(p, vc)];
-            while (!q.empty()) {
+            while (!slots[slot(p, vc)].q.empty()) {
                 PacketHandle h = popHead(p, vc);
                 net.dropPacket(id, h, "node-failure");
             }
@@ -138,17 +135,18 @@ Router::registerTelemetry(telem::Registry &reg,
                               &port_name)
 {
     for (int p = 0; p < nPorts; ++p) {
-        if (!core->connected[pidx(p)])
+        if (!port(p).connected)
             continue;
         const std::string pp =
             telem::path(prefix, "port", port_name(p));
-        reg.addCounter(pp + ".flits", core->sentFlits[pidx(p)]);
-        reg.addCounter(pp + ".packets", core->sentPackets[pidx(p)]);
-        reg.addGauge(pp + ".busy_frac", [this, p] {
+        PortStats &ps = portStats[static_cast<std::size_t>(p)];
+        reg.addCounter(pp + ".flits", ps.sentFlits);
+        reg.addCounter(pp + ".packets", ps.sentPackets);
+        reg.addGauge(pp + ".busy_frac", [this, &ps] {
             Tick now = net.ctxOf(id).now();
             if (now <= statsWindowStart)
                 return 0.0;
-            double f = static_cast<double>(core->sentFlits[pidx(p)]) *
+            double f = static_cast<double>(ps.sentFlits) *
                        static_cast<double>(net.period()) /
                        static_cast<double>(now - statsWindowStart);
             return std::min(f, 1.0);
@@ -157,9 +155,9 @@ Router::registerTelemetry(telem::Registry &reg,
         // the neighbour this port points at).
         for (int vc = 0; vc < numVcs; ++vc) {
             const std::string vp = telem::path(pp, "vc", vc);
-            reg.addCounter(vp + ".flits", core->recvFlits[sidx(p, vc)]);
-            reg.addCounter(vp + ".stalls",
-                           core->creditStalls[sidx(p, vc)]);
+            SlotStats &ss = slotStats[slot(p, vc)];
+            reg.addCounter(vp + ".flits", ss.recvFlits);
+            reg.addCounter(vp + ".stalls", ss.creditStalls);
         }
     }
     for (int cls = 0; cls < numClasses; ++cls) {
@@ -169,7 +167,7 @@ Router::registerTelemetry(telem::Registry &reg,
                        injStalls[static_cast<std::size_t>(cls)]);
         reg.addGauge(cp + ".depth", [this, cls] {
             return static_cast<double>(
-                injQs[static_cast<std::size_t>(cls)].size());
+                injQueueDepth(static_cast<MsgClass>(cls)));
         });
     }
 }
@@ -177,14 +175,8 @@ Router::registerTelemetry(telem::Registry &reg,
 void
 Router::clearStats(Tick now)
 {
-    for (int p = 0; p < nPorts; ++p) {
-        core->sentFlits[pidx(p)] = 0;
-        core->sentPackets[pidx(p)] = 0;
-        for (int vc = 0; vc < numVcs; ++vc) {
-            core->recvFlits[sidx(p, vc)] = 0;
-            core->creditStalls[sidx(p, vc)] = 0;
-        }
-    }
+    std::fill(portStats.begin(), portStats.end(), PortStats{});
+    std::fill(slotStats.begin(), slotStats.end(), SlotStats{});
     injStalls.fill(0);
     statsWindowStart = now;
 }
@@ -201,20 +193,18 @@ Router::oldestBuffered(Packet &out) const
             found = true;
         }
     };
-    for (const auto &q : vcQ)
-        for (PacketHandle h : q)
-            consider(h);
-    for (const auto &q : injQs)
-        for (PacketHandle h : q)
-            consider(h);
+    for (const Slot &sl : slots)
+        sl.q.forEach(pool, consider);
+    for (const PacketQueue &q : injQs)
+        q.forEach(pool, consider);
     return found;
 }
 
 void
 Router::inject(PacketHandle h)
 {
-    const Packet &pkt = net.poolOf(id).get(h);
-    injQs[static_cast<std::size_t>(pkt.cls)].push(h);
+    PacketPool &pool = net.poolOf(id);
+    injQs[static_cast<std::size_t>(pool.get(h).cls)].push(pool, h);
     injWaiting += 1;
     net.activate(id);
 }
@@ -243,7 +233,7 @@ Router::chooseRoute(PacketHandle h, RouteMemo &memo, Route &route,
         int bestPort = -1, bestCredits = -1;
         for (int i = 0; i < memo.nAdaptive; ++i) {
             int p = memo.adaptive[static_cast<std::size_t>(i)];
-            int credits = core->credits[sidx(p, vc)];
+            int credits = slots[slot(p, vc)].credits;
             if (credits >= pkt.flits && credits > bestCredits) {
                 bestCredits = credits;
                 bestPort = p;
@@ -273,7 +263,7 @@ Router::chooseRoute(PacketHandle h, RouteMemo &memo, Route &route,
         unroutable = true;
         return false;
     }
-    if (core->credits[sidx(memo.escPort, memo.escVc)] >= pkt.flits) {
+    if (slots[slot(memo.escPort, memo.escVc)].credits >= pkt.flits) {
         route = Route{memo.escPort, memo.escVc};
         return true;
     }
@@ -283,19 +273,18 @@ Router::chooseRoute(PacketHandle h, RouteMemo &memo, Route &route,
 PacketHandle
 Router::popHead(int in_port, int vc)
 {
-    auto &q = vcQ[slot(in_port, vc)];
-    gs_assert(!q.empty());
-    PacketHandle h = q.front();
-    q.pop();
-    vcMemo[slot(in_port, vc)].head = invalidHandle;
-    if (q.empty())
-        vcMask[static_cast<std::size_t>(in_port)] &=
-            static_cast<std::uint16_t>(~(1u << vc));
-    const Packet &pkt = net.poolOf(id).get(h);
+    PacketPool &pool = net.poolOf(id);
+    Slot &sl = slots[slot(in_port, vc)];
+    gs_assert(!sl.q.empty());
+    PacketHandle h = sl.q.pop(pool);
+    sl.memo.head = invalidHandle;
+    if (sl.q.empty())
+        port(in_port).vcMask &= static_cast<std::uint16_t>(~(1u << vc));
+    const Packet &pkt = pool.get(h);
     if (pkt.dst == id)
         ejectable -= 1;
     int flits = pkt.flits;
-    core->flitsUsed[sidx(in_port, vc)] -= flits;
+    sl.flitsUsed -= flits;
     buffered -= 1;
     // Freed buffer space becomes a credit at our upstream neighbour.
     net.scheduleCredit(id, in_port, vc, flits);
@@ -306,8 +295,7 @@ PacketHandle
 Router::popInjection(int cls)
 {
     const auto c = static_cast<std::size_t>(cls);
-    PacketHandle h = injQs[c].front();
-    injQs[c].pop();
+    PacketHandle h = injQs[c].pop(net.poolOf(id));
     injMemo[c].head = invalidHandle;
     injWaiting -= 1;
     return h;
@@ -316,8 +304,8 @@ Router::popInjection(int cls)
 void
 Router::clearRouteMemos()
 {
-    for (RouteMemo &m : vcMemo)
-        m.head = invalidHandle;
+    for (Slot &sl : slots)
+        sl.memo.head = invalidHandle;
     for (RouteMemo &m : injMemo)
         m.head = invalidHandle;
 }
@@ -328,10 +316,9 @@ Router::ejectPass(Tick now)
     (void)now;
     const PacketPool &pool = net.poolOf(id);
     for (int p = 0; p < nPorts && ejectable > 0; ++p) {
-        for (unsigned bits = vcMask[static_cast<std::size_t>(p)];
-             bits != 0; bits &= bits - 1) {
+        for (unsigned bits = port(p).vcMask; bits != 0; bits &= bits - 1) {
             const int vc = std::countr_zero(bits);
-            auto &q = vcQ[slot(p, vc)];
+            const PacketQueue &q = slots[slot(p, vc)].q;
             while (!q.empty() && pool.get(q.front()).dst == id) {
                 PacketHandle h = popHead(p, vc);
                 net.deliverLocal(id, h);
@@ -343,27 +330,26 @@ Router::ejectPass(Tick now)
 bool
 Router::nominateVc(int in_port, int vc, Tick now)
 {
-    auto &q = vcQ[slot(in_port, vc)];
-    RouteMemo &memo = vcMemo[slot(in_port, vc)];
+    Slot &sl = slots[slot(in_port, vc)];
     Route route;
     bool nominated = false;
-    while (!q.empty()) {
+    while (!sl.q.empty()) {
         bool unroutable = false;
-        if (chooseRoute(q.front(), memo, route, unroutable)) {
+        if (chooseRoute(sl.q.front(), sl.memo, route, unroutable)) {
             nominated = true;
             break;
         }
         if (!unroutable) {
-            core->creditStalls[sidx(in_port, vc)] += 1;
+            slotStats[slot(in_port, vc)].creditStalls += 1;
             break;
         }
         PacketHandle h = popHead(in_port, vc);
         net.dropPacket(id, h, "unroutable");
     }
-    if (!nominated || core->busyUntil[pidx(route.outPort)] > now)
+    if (!nominated || port(route.outPort).busyUntil > now)
         return false;
     noms.push_back(Nominee{in_port, vc, route});
-    core->rrVc[pidx(in_port)] = (vc + 1) % numVcs;
+    port(in_port).rrVc = (vc + 1) % numVcs;
     return true;
 }
 
@@ -377,10 +363,10 @@ Router::nominate(Tick now)
     // whose destination lost every route (degraded fabric) are
     // dropped on the spot: waiting cannot bring the route back.
     for (int p = 0; p < nPorts; ++p) {
-        const unsigned mask = vcMask[static_cast<std::size_t>(p)];
+        const unsigned mask = port(p).vcMask;
         if (mask == 0)
             continue;
-        const unsigned fromRr = ~0u << core->rrVc[pidx(p)];
+        const unsigned fromRr = ~0u << port(p).rrVc;
         bool nominated = false;
         for (unsigned bits : {mask & fromRr, mask & ~fromRr}) {
             for (; bits != 0 && !nominated; bits &= bits - 1)
@@ -409,7 +395,7 @@ Router::nominate(Tick now)
         }
         if (!nominated)
             continue;
-        if (core->busyUntil[pidx(route.outPort)] > now)
+        if (port(route.outPort).busyUntil > now)
             continue;
         noms.push_back(Nominee{-1, cls, route});
         injRrClass = (cls + 1) % numClasses;
@@ -426,7 +412,8 @@ Router::grant(Tick now)
     const int srcSlots = nPorts + 1;
 
     for (int o = 0; o < nPorts; ++o) {
-        if (!core->connected[pidx(o)] || core->busyUntil[pidx(o)] > now)
+        Port &out = port(o);
+        if (!out.connected || out.busyUntil > now)
             continue;
 
         // Global arbiter: round-robin over nominating sources
@@ -437,8 +424,7 @@ Router::grant(Tick now)
             if (nom.route.outPort != o)
                 continue;
             int src = nom.inPort < 0 ? srcSlots - 1 : nom.inPort;
-            int rank =
-                (src - core->rrSrc[pidx(o)] + srcSlots) % srcSlots;
+            int rank = (src - out.rrSrc + srcSlots) % srcSlots;
             if (rank < bestRank) {
                 bestRank = rank;
                 winner = &nom;
@@ -459,15 +445,15 @@ Router::grant(Tick now)
             pkt.span.advance(now, trace::Link);
 
         int vc = winner->route.outVc;
-        core->credits[sidx(o, vc)] -= pkt.flits;
-        gs_assert(core->credits[sidx(o, vc)] >= 0,
-                  "credit underflow at node ", id, " port ", o);
-        core->busyUntil[pidx(o)] =
-            now + static_cast<Tick>(pkt.flits) * net.period();
-        core->sentFlits[pidx(o)] +=
-            static_cast<std::uint64_t>(pkt.flits);
-        core->sentPackets[pidx(o)] += 1;
-        core->rrSrc[pidx(o)] =
+        std::int32_t &credits = slots[slot(o, vc)].credits;
+        credits -= pkt.flits;
+        gs_assert(credits >= 0, "credit underflow at node ", id, " port ",
+                  o);
+        out.busyUntil = now + static_cast<Tick>(pkt.flits) * net.period();
+        PortStats &ps = portStats[static_cast<std::size_t>(o)];
+        ps.sentFlits += static_cast<std::uint64_t>(pkt.flits);
+        ps.sentPackets += 1;
+        out.rrSrc =
             ((winner->inPort < 0 ? srcSlots - 1 : winner->inPort) + 1) %
             srcSlots;
 
@@ -477,7 +463,7 @@ Router::grant(Tick now)
         // it at link rate (the link stays busy for the full length,
         // and ejection waits for the tail). Store-and-forward (the
         // ablation) waits for the whole packet at every hop.
-        int delay = prm.pipelineCycles + core->wireCycles[pidx(o)] +
+        int delay = prm.pipelineCycles + out.wireCycles +
                     (prm.cutThrough ? std::min(pkt.flits, headerFlits)
                                     : pkt.flits);
         net.scheduleArrival(id, link.peer, link.peerPort, vc, h, delay);
@@ -500,32 +486,32 @@ Router::tick(Tick now)
 void
 Router::saveCkpt(ckpt::Serializer &s) const
 {
-    s.put32(static_cast<std::uint32_t>(vcQ.size()));
-    for (const HandleQueue &q : vcQ)
-        q.saveCkpt(s);
-    for (int p = 0; p < nPorts; ++p) {
-        for (int vc = 0; vc < numVcs; ++vc) {
-            s.putI32(core->flitsUsed[sidx(p, vc)]);
-            s.put64(core->recvFlits[sidx(p, vc)]);
-            s.put64(core->creditStalls[sidx(p, vc)]);
-        }
+    const PacketPool &pool = net.poolOf(id);
+    s.put32(static_cast<std::uint32_t>(slots.size()));
+    for (const Slot &sl : slots)
+        sl.q.saveCkpt(s, pool);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        s.putI32(slots[i].flitsUsed);
+        s.put64(slotStats[i].recvFlits);
+        s.put64(slotStats[i].creditStalls);
     }
     s.put32(static_cast<std::uint32_t>(nPorts));
-    for (int p = 0; p < nPorts; ++p)
-        s.putI32(core->rrVc[pidx(p)]);
+    for (const Port &pt : ports)
+        s.putI32(pt.rrVc);
     s.put32(static_cast<std::uint32_t>(nPorts));
     for (int p = 0; p < nPorts; ++p) {
-        s.putBool(core->connected[pidx(p)] != 0);
+        const Port &pt = port(p);
+        s.putBool(pt.connected);
         for (int vc = 0; vc < numVcs; ++vc)
-            s.putI32(core->credits[sidx(p, vc)]);
-        s.put64(core->busyUntil[pidx(p)]);
-        s.putI32(core->wireCycles[pidx(p)]);
-        s.putI32(core->rrSrc[pidx(p)]);
-        s.put64(core->sentFlits[pidx(p)]);
-        s.put64(core->sentPackets[pidx(p)]);
+            s.putI32(slots[slot(p, vc)].credits);
+        s.put64(pt.busyUntil);
+        s.putI32(pt.wireCycles);
+        s.putI32(pt.rrSrc);
+        s.put64(portStats[static_cast<std::size_t>(p)].sentFlits);
+        s.put64(portStats[static_cast<std::size_t>(p)].sentPackets);
     }
-    for (const HandleQueue &q : injQs)
-        q.saveCkpt(s);
+    for (const PacketQueue &q : injQs)
+        q.saveCkpt(s, pool);
     for (std::uint64_t v : injStalls)
         s.put64(v);
     s.putI32(injRrClass);
@@ -537,41 +523,42 @@ Router::saveCkpt(ckpt::Serializer &s) const
 void
 Router::restoreCkpt(ckpt::Deserializer &d)
 {
-    if (d.get32() != vcQ.size() && d.ok()) {
+    if (d.get32() != slots.size() && d.ok()) {
         d.fail("router VC queue count mismatch");
         return;
     }
-    for (HandleQueue &q : vcQ)
-        q.restoreCkpt(d);
-    for (int p = 0; p < nPorts; ++p) {
-        for (int vc = 0; vc < numVcs; ++vc) {
-            core->flitsUsed[sidx(p, vc)] = d.getI32();
-            core->recvFlits[sidx(p, vc)] = d.get64();
-            core->creditStalls[sidx(p, vc)] = d.get64();
-        }
+    PacketPool &pool = net.poolOf(id);
+    const std::string where = "snapshot router " + std::to_string(id);
+    for (Slot &sl : slots)
+        sl.q.restoreCkpt(d, pool, where);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        slots[i].flitsUsed = d.getI32();
+        slotStats[i].recvFlits = d.get64();
+        slotStats[i].creditStalls = d.get64();
     }
     if (d.get32() != static_cast<std::uint32_t>(nPorts) && d.ok()) {
         d.fail("router port count mismatch");
         return;
     }
-    for (int p = 0; p < nPorts; ++p)
-        core->rrVc[pidx(p)] = d.getI32();
+    for (Port &pt : ports)
+        pt.rrVc = d.getI32();
     if (d.get32() != static_cast<std::uint32_t>(nPorts) && d.ok()) {
         d.fail("router output count mismatch");
         return;
     }
     for (int p = 0; p < nPorts; ++p) {
-        core->connected[pidx(p)] = d.getBool() ? 1 : 0;
+        Port &pt = port(p);
+        pt.connected = d.getBool();
         for (int vc = 0; vc < numVcs; ++vc)
-            core->credits[sidx(p, vc)] = d.getI32();
-        core->busyUntil[pidx(p)] = d.get64();
-        core->wireCycles[pidx(p)] = d.getI32();
-        core->rrSrc[pidx(p)] = d.getI32();
-        core->sentFlits[pidx(p)] = d.get64();
-        core->sentPackets[pidx(p)] = d.get64();
+            slots[slot(p, vc)].credits = d.getI32();
+        pt.busyUntil = d.get64();
+        pt.wireCycles = d.getI32();
+        pt.rrSrc = d.getI32();
+        portStats[static_cast<std::size_t>(p)].sentFlits = d.get64();
+        portStats[static_cast<std::size_t>(p)].sentPackets = d.get64();
     }
-    for (HandleQueue &q : injQs)
-        q.restoreCkpt(d);
+    for (PacketQueue &q : injQs)
+        q.restoreCkpt(d, pool, where);
     for (std::uint64_t &v : injStalls)
         v = d.get64();
     injRrClass = d.getI32();
@@ -581,30 +568,27 @@ Router::restoreCkpt(ckpt::Deserializer &d)
 
     // Derived hot-path state is not in the snapshot: rebuild the
     // occupancy masks and the eject count from the restored queues
-    // (the pool is restored first, so handles resolve) and forget
-    // every memo the pre-restore run left behind.
+    // and forget every memo the pre-restore run left behind.
     clearRouteMemos();
-    std::fill(vcMask.begin(), vcMask.end(), 0);
     ejectable = 0;
-    if (!d.ok())
-        return;
-    const PacketPool &pool = net.poolOf(id);
     for (int p = 0; p < nPorts; ++p) {
+        port(p).vcMask = 0;
         for (int vc = 0; vc < numVcs; ++vc) {
-            const HandleQueue &q = vcQ[slot(p, vc)];
+            const PacketQueue &q = slots[slot(p, vc)].q;
             if (q.empty())
                 continue;
-            vcMask[static_cast<std::size_t>(p)] |=
-                static_cast<std::uint16_t>(1u << vc);
-            for (PacketHandle h : q) {
-                if (h >= pool.capacity()) {
-                    d.fail("router queue handle out of range");
-                    return;
-                }
+            port(p).vcMask |= static_cast<std::uint16_t>(1u << vc);
+            q.forEach(pool, [&](PacketHandle h) {
                 ejectable += pool.get(h).dst == id ? 1 : 0;
-            }
+            });
         }
     }
+}
+
+std::size_t
+Router::injQueueDepth(MsgClass cls) const
+{
+    return injQs[static_cast<std::size_t>(cls)].size(net.poolOf(id));
 }
 
 } // namespace gs::net

@@ -23,12 +23,13 @@
  * class separation keeps the coherence protocol deadlock-free.
  *
  * Data layout: packets live in the Network's PacketPool for their
- * whole flight; the router buffers 4-byte handles, and every
- * per-port / per-VC scalar (credits, occupancy, busy horizons, RR
- * pointers, telemetry counters) lives in the Network-wide RouterCore
- * structure-of-arrays (router_core.hh) — this object holds only its
- * base offsets into those flat arrays, its handle queues, and the
- * arbitration logic.
+ * whole flight, and every queue is a PacketQueue threaded through
+ * that pool (two handles per queue, the links in the packets). The
+ * router owns all of its state in arrays sized once from the node's
+ * port count: per port the busy horizon, wire cycles, link state, RR
+ * pointers and VC occupancy mask; per (port, VC) the queue, credits,
+ * occupancy and head route memo. Telemetry counters sit in separate
+ * cold arrays that the hot path writes but never reads.
  *
  * Hot path: per-tick work follows the buffered packets, not the
  * ports x VCs grid. A per-port occupancy mask lets the local arbiters
@@ -52,7 +53,6 @@
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
 #include "net/params.hh"
-#include "net/router_core.hh"
 #include "sim/telemetry.hh"
 #include "sim/types.hh"
 #include "topology/topology.hh"
@@ -93,25 +93,22 @@ class Router
     /** Occupancy (flits) of input VC @p vc on port @p in_port. */
     int vcOccupancy(int in_port, int vc) const
     {
-        return core->flitsUsed[sidx(in_port, vc)];
+        return slots[slot(in_port, vc)].flitsUsed;
     }
 
     /** Pending packets in the injection queue of class @p cls. */
-    std::size_t injQueueDepth(MsgClass cls) const
-    {
-        return injQs[static_cast<std::size_t>(cls)].size();
-    }
+    std::size_t injQueueDepth(MsgClass cls) const;
 
     /** Flits sent out of @p out_port since the last clearStats. */
     std::uint64_t sentFlits(int out_port) const
     {
-        return core->sentFlits[pidx(out_port)];
+        return portStats[static_cast<std::size_t>(out_port)].sentFlits;
     }
 
     /** Flit credits currently held for (out_port, vc). */
     int creditsAvailable(int out_port, int vc) const
     {
-        return core->credits[sidx(out_port, vc)];
+        return slots[slot(out_port, vc)].credits;
     }
 
     /**
@@ -152,10 +149,11 @@ class Router
 
     /** @name Checkpoint/restore.
      *
-     * Serializes every queue of handles plus all per-VC/per-output
-     * scalars (read from / written into this router's RouterCore
-     * slice). Handles stay valid because the owning PacketPool is
-     * restored verbatim first.
+     * Serializes every queue as its handle sequence plus all
+     * per-VC/per-output scalars. Handles stay valid because the
+     * owning PacketPool is restored verbatim first; restore relinks
+     * the queues through it and refuses a handle that is not a live
+     * packet or that is queued twice.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
@@ -209,19 +207,46 @@ class Router
                static_cast<std::size_t>(vc);
     }
 
-    /** RouterCore per-port index of @p port. */
-    std::size_t
-    pidx(int port) const
+    /** Hot per-port state. */
+    struct Port
     {
-        return static_cast<std::size_t>(pb) +
-               static_cast<std::size_t>(port);
-    }
+        Tick busyUntil = 0;         ///< output link busy horizon
+        std::int32_t wireCycles = 0;
+        std::int32_t rrSrc = 0;     ///< global-arbiter RR pointer
+        std::int32_t rrVc = 0;      ///< local-arbiter RR pointer
+        std::uint16_t vcMask = 0;   ///< non-empty input VCs (derived)
+        bool connected = false;
+    };
 
-    /** RouterCore per-(port, VC) index of (port, vc). */
-    std::size_t
-    sidx(int port, int vc) const
+    /** Hot per-(port, VC) state: input side and output side. */
+    struct Slot
     {
-        return static_cast<std::size_t>(sb) + slot(port, vc);
+        PacketQueue q;               ///< buffered input packets
+        std::int32_t credits = 0;    ///< for the output direction
+        std::int32_t flitsUsed = 0;  ///< input-buffer occupancy
+        RouteMemo memo;              ///< of q's head (derived)
+    };
+    static_assert(sizeof(Slot) == 32, "half a host line per slot");
+
+    /** Cold per-port telemetry. */
+    struct PortStats
+    {
+        std::uint64_t sentFlits = 0;
+        std::uint64_t sentPackets = 0;
+    };
+
+    /** Cold per-(port, VC) telemetry. */
+    struct SlotStats
+    {
+        std::uint64_t recvFlits = 0;
+        std::uint64_t creditStalls = 0;
+    };
+
+    /** Port @p p's hot state. */
+    Port &port(int p) { return ports[static_cast<std::size_t>(p)]; }
+    const Port &port(int p) const
+    {
+        return ports[static_cast<std::size_t>(p)];
     }
 
     /**
@@ -266,23 +291,25 @@ class Router
 
     Network &net;
     NodeId id;
-    RouterCore *core;  ///< the owning Network's flat state
-    std::uint32_t pb = 0; ///< per-port base (core->ref(id).portBase)
-    std::uint32_t sb = 0; ///< per-slot base (core->ref(id).slotBase)
     int nPorts = 0;
 
-    std::vector<HandleQueue> vcQ; ///< buffered packets, slot()-indexed
-    std::array<HandleQueue, numClasses> injQs;
+    std::vector<Port> ports;  ///< [nPorts]
+    std::vector<Slot> slots;  ///< [nPorts * numVcs], slot()-indexed
+    std::array<PacketQueue, numClasses> injQs;
+    std::array<RouteMemo, numClasses> injMemo; ///< derived
 
-    /** @name Derived hot-path state (rebuilt on restore) */
+    /**
+     * Buffered packets whose dst is this node: derived, like every
+     * vcMask and memo, so rebuilt on restore and never serialized.
+     */
+    int ejectable = 0;
+
+    /** @name Telemetry counters (addresses fixed at construction) */
     /// @{
-    std::vector<std::uint16_t> vcMask; ///< per port: non-empty VCs
-    int ejectable = 0; ///< buffered packets whose dst is this node
-    std::vector<RouteMemo> vcMemo; ///< slot()-indexed
-    std::array<RouteMemo, numClasses> injMemo;
+    std::vector<PortStats> portStats; ///< [nPorts]
+    std::vector<SlotStats> slotStats; ///< slot()-indexed
+    std::array<std::uint64_t, numClasses> injStalls{};
     /// @}
-
-    std::array<std::uint64_t, numClasses> injStalls{}; ///< telemetry
     int injRrClass = 0;
     Tick statsWindowStart = 0; ///< busy-fraction window origin
 

@@ -459,52 +459,45 @@ Machine::registerTelemetry()
     // working (see docs/EVENT_KERNEL.md). `buckets` counts events
     // resident in the near-future ring, `overflow` those parked in
     // the far-future heap; a healthy steady state keeps overflow
-    // near zero. Parallel machines sum the per-domain queues
-    // (peak_pending sums per-domain peaks, an upper bound on the
-    // instantaneous machine-wide peak). `storage_bytes` is the
+    // near zero. Each gauge sums over the snapshot's queues: the
+    // serial engine's one, or one per parallel domain (peak_pending
+    // then sums per-domain peaks, an upper bound on the instantaneous
+    // machine-wide peak). `storage_bytes` is the
     // calendar's host footprint, wall-clock shaped like
     // mem.model_bytes and so kept out of exports.
-    if (par_) {
-        ParallelEngine *pe = par_.get();
-        auto sumQ = [pe](auto probe) {
-            double n = 0;
-            for (int d = 0; d < pe->domains(); ++d)
-                n += static_cast<double>(probe(pe->domainCtx(d).queue()));
-            return n;
-        };
-        telemetry_.addGauge("eq.fired", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.firedCount();
-            });
+    auto sumQ = [qs = ckptQueues()](auto probe) {
+        double n = 0;
+        for (const EventQueue *q : qs)
+            n += static_cast<double>(probe(*q));
+        return n;
+    };
+    telemetry_.addGauge("eq.fired", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.firedCount(); });
+    });
+    telemetry_.addGauge("eq.pending", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.pending(); });
+    });
+    telemetry_.addGauge("eq.peak_pending", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.peakPending(); });
+    });
+    telemetry_.addGauge("eq.buckets", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.ringPending(); });
+    });
+    telemetry_.addGauge("eq.overflow", [sumQ] {
+        return sumQ([](const EventQueue &q) {
+            return q.overflowPending();
         });
-        telemetry_.addGauge("eq.pending", [sumQ] {
-            return sumQ([](const EventQueue &q) { return q.pending(); });
-        });
-        telemetry_.addGauge("eq.peak_pending", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.peakPending();
-            });
-        });
-        telemetry_.addGauge("eq.buckets", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.ringPending();
-            });
-        });
-        telemetry_.addGauge("eq.overflow", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.overflowPending();
-            });
-        });
-        telemetry_.addWallClockGauge("eq.storage_bytes", [sumQ] {
-            return sumQ([](const EventQueue &q) {
-                return q.storageBytes();
-            });
-        });
+    });
+    telemetry_.addWallClockGauge("eq.storage_bytes", [sumQ] {
+        return sumQ([](const EventQueue &q) { return q.storageBytes(); });
+    });
 
+    if (par_) {
         // Parallel-engine self-metrics. Everything here is a pure
         // function of simulation state — identical at any thread
         // count — except barrier_wait_frac, which is wall-clock
         // derived (see docs/PARALLEL.md).
+        ParallelEngine *pe = par_.get();
         net::Network *netp = net.get();
         telemetry_.addGauge("par.domains", [pe] {
             return static_cast<double>(pe->domains());
@@ -540,26 +533,6 @@ Machine::registerTelemetry()
         });
         telemetry_.addGauge("par.mailbox.flits", [netp] {
             return static_cast<double>(netp->crossFlitsPosted());
-        });
-    } else {
-        SimContext *ctxp = context.get();
-        telemetry_.addGauge("eq.fired", [ctxp] {
-            return static_cast<double>(ctxp->queue().firedCount());
-        });
-        telemetry_.addGauge("eq.pending", [ctxp] {
-            return static_cast<double>(ctxp->queue().pending());
-        });
-        telemetry_.addGauge("eq.peak_pending", [ctxp] {
-            return static_cast<double>(ctxp->queue().peakPending());
-        });
-        telemetry_.addGauge("eq.buckets", [ctxp] {
-            return static_cast<double>(ctxp->queue().ringPending());
-        });
-        telemetry_.addGauge("eq.overflow", [ctxp] {
-            return static_cast<double>(ctxp->queue().overflowPending());
-        });
-        telemetry_.addWallClockGauge("eq.storage_bytes", [ctxp] {
-            return static_cast<double>(ctxp->queue().storageBytes());
         });
     }
 

@@ -1,12 +1,15 @@
 /**
  * @file
- * Frozen copy of the pre-SoA buffered router, for the A/B
- * equivalence harness (router_ab_test.cc).
+ * Frozen copy of the original array-of-structures buffered router,
+ * for the A/B equivalence harness (router_ab_test.cc).
  *
- * LegacyRouter is the array-of-structures implementation the SoA
- * refactor replaced, kept verbatim except that it talks to LegacyNet
- * — a minimal single-domain replica of the Network's serial event
- * plumbing (injection, arrival/credit wires, tick chain, delivery).
+ * LegacyRouter is the implementation the router's layout rewrites
+ * (first a network-wide structure-of-arrays, now per-router hot
+ * blocks with queues threaded through the packet pool) replaced. It
+ * is kept verbatim, with its own copy of the handle FIFO it queued
+ * in, except that it talks to LegacyNet — a minimal single-domain
+ * replica of the Network's serial event plumbing (injection,
+ * arrival/credit wires, tick chain, delivery).
  * Driving both fabrics with the same randomized program must produce
  * the same delivery trace and the same counters; see the test for
  * the exact contract. Do NOT "fix" behaviour here: this file is the
@@ -34,6 +37,42 @@ namespace gs::net::legacy
 {
 
 class LegacyNet;
+
+/**
+ * The handle FIFO the legacy router buffered in (contiguous storage,
+ * recycled consumed prefix), frozen with it: the production router
+ * now threads its queues through the packet pool instead.
+ */
+class LegacyQueue
+{
+  public:
+    bool empty() const { return head_ == q.size(); }
+    std::size_t size() const { return q.size() - head_; }
+
+    void push(PacketHandle h) { q.push_back(h); }
+
+    PacketHandle front() const { return q[head_]; }
+
+    void
+    pop()
+    {
+        head_ += 1;
+        if (head_ == q.size()) {
+            q.clear();
+            head_ = 0;
+        } else if (head_ >= compactAt && head_ * 2 >= q.size()) {
+            q.erase(q.begin(),
+                    q.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+    }
+
+  private:
+    static constexpr std::size_t compactAt = 64;
+
+    std::vector<PacketHandle> q;
+    std::size_t head_ = 0;
+};
 
 /** The pre-refactor router: per-object state, AoS layout. */
 class LegacyRouter
@@ -143,11 +182,11 @@ class LegacyRouter
     LegacyNet &net;
     NodeId id;
 
-    std::vector<HandleQueue> vcQ;
+    std::vector<LegacyQueue> vcQ;
     std::vector<VcState> vcState;
     std::vector<int> rrVc;
     std::vector<Output> outputs;
-    std::array<HandleQueue, numClasses> injQs;
+    std::array<LegacyQueue, numClasses> injQs;
     std::array<std::uint64_t, numClasses> injStalls{};
     int injRrClass = 0;
 
@@ -369,7 +408,7 @@ class LegacyNet
 };
 
 // ------------------------------------------------------------------
-// LegacyRouter implementation: verbatim pre-SoA logic.
+// LegacyRouter implementation: the original logic, verbatim.
 // ------------------------------------------------------------------
 
 inline LegacyRouter::LegacyRouter(LegacyNet &network, NodeId node)

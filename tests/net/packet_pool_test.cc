@@ -1,19 +1,21 @@
-/** @file Unit tests for the packet pool and the handle FIFO. */
+/** @file Unit tests for the packet pool and the packet FIFO. */
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
+#include "sim/checkpoint.hh"
 
 namespace
 {
 
-using gs::net::HandleQueue;
 using gs::net::Packet;
 using gs::net::PacketHandle;
 using gs::net::PacketPool;
+using gs::net::PacketQueue;
 
 Packet
 mkPkt(int src, int dst, int flits)
@@ -89,70 +91,108 @@ TEST(PacketPoolDeath, DoubleReleasePanics)
     EXPECT_DEATH(pool.release(h), "released twice");
 }
 
-TEST(HandleQueue, IsFifo)
+/** Handles of @p q, front to back. */
+std::vector<PacketHandle>
+contents(const PacketQueue &q, const PacketPool &pool)
 {
-    HandleQueue q;
+    std::vector<PacketHandle> seen;
+    q.forEach(pool, [&seen](PacketHandle h) { seen.push_back(h); });
+    return seen;
+}
+
+TEST(PacketQueue, IsFifo)
+{
+    PacketPool pool;
+    const PacketHandle a = pool.acquire(mkPkt(0, 1, 1));
+    const PacketHandle b = pool.acquire(mkPkt(0, 2, 1));
+    const PacketHandle c = pool.acquire(mkPkt(0, 3, 1));
+    PacketQueue q;
     EXPECT_TRUE(q.empty());
-    q.push(3);
-    q.push(1);
-    q.push(2);
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.front(), 3u);
-    q.pop();
-    EXPECT_EQ(q.front(), 1u);
-    q.pop();
-    EXPECT_EQ(q.front(), 2u);
-    q.pop();
+    q.push(pool, c);
+    q.push(pool, a);
+    q.push(pool, b);
+    EXPECT_EQ(q.size(pool), 3u);
+    EXPECT_EQ(q.front(), c);
+    EXPECT_EQ(q.pop(pool), c);
+    EXPECT_EQ(q.front(), a);
+    EXPECT_EQ(q.pop(pool), a);
+    EXPECT_EQ(q.front(), b);
+    EXPECT_EQ(q.pop(pool), b);
     EXPECT_TRUE(q.empty());
 }
 
-TEST(HandleQueue, IterationSkipsConsumedPrefix)
+TEST(PacketQueue, IterationSkipsConsumedPrefix)
 {
-    HandleQueue q;
-    for (PacketHandle h = 0; h < 8; ++h)
-        q.push(h);
-    q.pop();
-    q.pop();
-    std::vector<PacketHandle> seen(q.begin(), q.end());
-    EXPECT_EQ(seen, (std::vector<PacketHandle>{2, 3, 4, 5, 6, 7}));
+    PacketPool pool;
+    PacketQueue q;
+    std::vector<PacketHandle> hs;
+    for (int i = 0; i < 8; ++i)
+        hs.push_back(pool.acquire(mkPkt(0, i, 1)));
+    // Queue them in an order unlike their handle order.
+    for (int i : {5, 2, 7, 0, 1, 6, 3, 4})
+        q.push(pool, hs[std::size_t(i)]);
+    q.pop(pool);
+    q.pop(pool);
+    const std::vector<PacketHandle> want{hs[7], hs[0], hs[1],
+                                         hs[6], hs[3], hs[4]};
+    EXPECT_EQ(contents(q, pool), want);
+
+    // A snapshot writes the count, then the same sequence.
+    gs::ckpt::Serializer s;
+    q.saveCkpt(s, pool);
+    gs::ckpt::Serializer w;
+    w.put32(static_cast<std::uint32_t>(want.size()));
+    for (PacketHandle h : want)
+        w.put32(h);
+    EXPECT_EQ(s.buffer(), w.buffer());
 }
 
-TEST(HandleQueue, CompactionPreservesOrderUnderChurn)
+TEST(PacketQueue, PreservesOrderUnderChurn)
 {
-    HandleQueue q;
-    PacketHandle nextPush = 0;
-    PacketHandle nextPop = 0;
-    // Keep ~40 in flight through hundreds of push/pop cycles; the
-    // head cursor repeatedly crosses the compaction threshold.
+    // Handles recycle through the pool's freelist, so order is
+    // checked on the packet ids pushed and popped.
+    PacketPool pool;
+    PacketQueue q;
+    int nextPush = 0;
+    int nextPop = 0;
+    // Keep ~40 in flight through hundreds of push/pop cycles.
     for (int round = 0; round < 500; ++round) {
         for (int i = 0; i < 5; ++i)
-            q.push(nextPush++);
+            q.push(pool, pool.acquire(mkPkt(0, nextPush++, 1)));
         for (int i = 0; i < 4 && !q.empty(); ++i) {
-            ASSERT_EQ(q.front(), nextPop);
-            q.pop();
+            const PacketHandle h = q.pop(pool);
+            ASSERT_EQ(pool.get(h).dst, nextPop);
+            pool.release(h);
             nextPop += 1;
         }
     }
     while (!q.empty()) {
-        ASSERT_EQ(q.front(), nextPop);
-        q.pop();
+        const PacketHandle h = q.pop(pool);
+        ASSERT_EQ(pool.get(h).dst, nextPop);
+        pool.release(h);
         nextPop += 1;
     }
     EXPECT_EQ(nextPop, nextPush);
+    EXPECT_EQ(pool.inUse(), 0u);
 }
 
-TEST(HandleQueue, ClearEmptiesEverything)
+TEST(PacketQueue, ClearEmptiesEverything)
 {
-    HandleQueue q;
-    for (PacketHandle h = 0; h < 100; ++h)
-        q.push(h);
+    PacketPool pool;
+    PacketQueue q;
+    std::vector<PacketHandle> hs;
+    for (int i = 0; i < 100; ++i) {
+        hs.push_back(pool.acquire(mkPkt(0, i, 1)));
+        q.push(pool, hs.back());
+    }
     for (int i = 0; i < 70; ++i)
-        q.pop();
+        q.pop(pool);
     q.clear();
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.size(), 0u);
-    q.push(42);
-    EXPECT_EQ(q.front(), 42u);
+    EXPECT_EQ(q.size(pool), 0u);
+    q.push(pool, hs[42]);
+    EXPECT_EQ(q.front(), hs[42]);
+    EXPECT_EQ(contents(q, pool), std::vector<PacketHandle>{hs[42]});
 }
 
 } // namespace
