@@ -111,9 +111,9 @@ struct Packet
     /**
      * The packet behind this one in the router queue that holds it
      * (PacketQueue, packet_pool.hh); invalidHandle at a queue's tail.
-     * Fills what was padding after @c hops. Router state, not part
-     * of the packet: never serialized, and meaningless while the
-     * packet is not queued.
+     * Sits in the padding after @c hops, so a Packet is no bigger
+     * for it. Router state, not part of the packet: never
+     * serialized, and meaningless while the packet is not queued.
      */
     PacketHandle next = invalidHandle;
 

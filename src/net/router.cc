@@ -568,21 +568,35 @@ Router::restoreCkpt(ckpt::Deserializer &d)
 
     // Derived hot-path state is not in the snapshot: rebuild the
     // occupancy masks and the eject count from the restored queues
-    // and forget every memo the pre-restore run left behind.
+    // and forget every memo the pre-restore run left behind. The
+    // saved occupancies and packet counts must match the queues.
     clearRouteMemos();
     ejectable = 0;
+    int nBuffered = 0;
     for (int p = 0; p < nPorts; ++p) {
         port(p).vcMask = 0;
         for (int vc = 0; vc < numVcs; ++vc) {
-            const PacketQueue &q = slots[slot(p, vc)].q;
-            if (q.empty())
-                continue;
-            port(p).vcMask |= static_cast<std::uint16_t>(1u << vc);
-            q.forEach(pool, [&](PacketHandle h) {
-                ejectable += pool.get(h).dst == id ? 1 : 0;
+            const Slot &sl = slots[slot(p, vc)];
+            int flits = 0;
+            sl.q.forEach(pool, [&](PacketHandle h) {
+                const Packet &pkt = pool.get(h);
+                flits += pkt.flits;
+                ejectable += pkt.dst == id ? 1 : 0;
+                nBuffered += 1;
             });
+            if (!sl.q.empty())
+                port(p).vcMask |= static_cast<std::uint16_t>(1u << vc);
+            if (flits != sl.flitsUsed && d.ok())
+                d.fail(where + ": occupancy of port " +
+                       std::to_string(p) + " VC " + std::to_string(vc) +
+                       " disagrees with its queue");
         }
     }
+    int nWaiting = 0;
+    for (const PacketQueue &q : injQs)
+        nWaiting += static_cast<int>(q.size(pool));
+    if ((nBuffered != buffered || nWaiting != injWaiting) && d.ok())
+        d.fail(where + ": packet counts disagree with its queues");
 }
 
 std::size_t

@@ -153,7 +153,8 @@ class Router
      * per-VC/per-output scalars. Handles stay valid because the
      * owning PacketPool is restored verbatim first; restore relinks
      * the queues through it and refuses a handle that is not a live
-     * packet or that is queued twice.
+     * packet or that is queued twice, and occupancies or packet
+     * counts that disagree with the queues.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;

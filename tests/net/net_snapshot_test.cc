@@ -238,13 +238,15 @@ TEST(PacketPoolRestore, RejectsSlotNeitherLiveNorFree)
  * A mid-storm 4x2 network snapshot in which router 0's first
  * injection queue (every one holds several packets at this point) is
  * rewritten by @p edit, given the queue's handles in order and a
- * handle that is on the freelist. The router's bytes are found
- * inside the network's by their own Router::saveCkpt; the error of
- * restoring the result into a fresh network is returned.
+ * handle that is on the freelist, and whose saved count of packets
+ * waiting for injection (the router's last field) is moved by
+ * @p waiting_delta. The router's bytes are found inside the
+ * network's by their own Router::saveCkpt; the error of restoring
+ * the result into a fresh network is returned.
  */
 template <class Edit>
 std::string
-restoreWithEditedInjectionQueue(Edit edit)
+restoreWithEditedInjectionQueue(Edit edit, std::uint32_t waiting_delta = 0)
 {
     topo::Torus2D topo(4, 2);
     Storm a(topo);
@@ -299,6 +301,7 @@ restoreWithEditedInjectionQueue(Edit edit)
     edit(hs, freed);
     for (std::uint32_t i = 0; i < n; ++i)
         put32(off + 4 + 4 * i, hs[i]);
+    put32(rb.size() - 4, get32(rb.size() - 4) + waiting_delta);
 
     Storm b(topo);
     ckpt::Deserializer d(bytes.data(), bytes.size());
@@ -331,6 +334,14 @@ TEST(RouterRestore, RejectsHandleQueuedTwice)
         });
     EXPECT_NE(err.find("router"), std::string::npos) << err;
     EXPECT_NE(err.find("queued twice"), std::string::npos) << err;
+}
+
+TEST(RouterRestore, RejectsPacketCountDisagreeingWithQueues)
+{
+    const std::string err = restoreWithEditedInjectionQueue(
+        [](std::vector<PacketHandle> &, PacketHandle) {}, 1);
+    EXPECT_NE(err.find("router"), std::string::npos) << err;
+    EXPECT_NE(err.find("disagree"), std::string::npos) << err;
 }
 
 } // namespace

@@ -1,12 +1,12 @@
 /**
  * @file
- * A/B equivalence: the SoA-core buffered router (net::Router over
- * net::RouterCore) against the frozen pre-refactor implementation
+ * A/B equivalence: the production router (net::Router, its state in
+ * per-router hot blocks and its queues threaded through the packet
+ * pool) against the frozen original implementation
  * (tests/net/legacy_router.hh).
  *
- * The refactor's contract is bit-identity: moving every per-port /
- * per-VC scalar into the Network-wide flat arrays must not change a
- * single arbitration decision, delivery tick or telemetry counter.
+ * The contract is bit-identity: no layout change may alter a single
+ * arbitration decision, delivery tick or telemetry counter.
  * These tests replay identical randomized inject programs — source,
  * destination, class, length and injection tick all drawn from one
  * seeded Rng — on both fabrics across several torus shapes, and
@@ -167,8 +167,8 @@ expectIdenticalFabrics(std::uint64_t seed, MakeTopo make_topo)
               b.stats().hopsPerPacket.mean());
 
     // ...and the same per-router telemetry, link by link and VC by
-    // VC (the counters live in the SoA core on side A and in the
-    // per-object structs on side B).
+    // VC (the counters live in the router's cold arrays on side A
+    // and in the per-port / per-VC structs on side B).
     for (NodeId node = 0; node < n; ++node) {
         const Router &ra = a.router(node);
         legacy::LegacyRouter &rb = b.router(node);

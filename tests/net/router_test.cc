@@ -179,8 +179,9 @@ TEST(Router, VcOccupancyVisible)
 
 // The introspection the tests above rely on — occupancy, queue
 // depths, credit counts — is deliberately public Router API
-// (tests/net/router_ab_test.cc leans on the same surface to prove the
-// SoA refactor bit-identical). The test below pins its contract.
+// (tests/net/router_ab_test.cc leans on the same surface to prove
+// every router layout change bit-identical). The test below pins its
+// contract.
 
 TEST(Router, CreditsConservedAcrossTraffic)
 {
