@@ -103,11 +103,11 @@ class PacketPool
         } else {
             h = static_cast<PacketHandle>(slots.size());
             slots.emplace_back();
-            liveFlags.push_back(0);
+            live.push_back(0);
             st.allocated += 1;
         }
-        gs_assert(!liveFlags[h], "pool slot acquired twice");
-        liveFlags[h] = 1;
+        gs_assert(!live[h], "pool slot acquired twice");
+        live[h] = 1;
         slots[h] = pkt;
         inUse_ += 1;
         if (inUse_ > st.peakInUse)
@@ -123,8 +123,8 @@ class PacketPool
     void
     release(PacketHandle h)
     {
-        gs_assert(liveFlags[h], "pool slot released twice");
-        liveFlags[h] = 0;
+        gs_assert(live[h], "pool slot released twice");
+        live[h] = 0;
         freeList.push_back(h);
         inUse_ -= 1;
     }
@@ -139,7 +139,7 @@ class PacketPool
     bool
     isLive(PacketHandle h) const
     {
-        return h < liveFlags.size() && liveFlags[h] != 0;
+        return h < live.size() && live[h] != 0;
     }
 
     const Stats &stats() const { return st; }
@@ -166,7 +166,7 @@ class PacketPool
         s.put32(static_cast<std::uint32_t>(freeList.size()));
         for (PacketHandle h : freeList)
             s.put32(h);
-        for (char f : liveFlags)
+        for (char f : live)
             s.put8(static_cast<std::uint8_t>(f));
         s.put64(inUse_);
         s.put64(st.allocated);
@@ -179,7 +179,7 @@ class PacketPool
     {
         std::uint32_t n = d.get32();
         slots.clear();
-        liveFlags.clear();
+        live.clear();
         for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
             slots.emplace_back();
             restorePacket(d, slots.back());
@@ -189,11 +189,11 @@ class PacketPool
         freeList.clear();
         for (std::uint32_t i = 0; i < nf && d.ok(); ++i)
             freeList.push_back(d.get32());
-        liveFlags.resize(n, 0);
+        live.resize(n, 0);
         std::uint64_t nLive = 0;
         for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
-            liveFlags[i] = static_cast<char>(d.get8());
-            nLive += liveFlags[i] != 0 ? 1 : 0;
+            live[i] = static_cast<char>(d.get8());
+            nLive += live[i] != 0 ? 1 : 0;
         }
         inUse_ = d.get64();
         st.allocated = d.get64();
@@ -207,14 +207,13 @@ class PacketPool
         };
         std::vector<char> isFree(n, 0);
         for (PacketHandle h : freeList) {
-            const std::string hs = "freelist handle " + std::to_string(h);
-            if (h >= n)
-                return refuse(hs + " out of range (" + std::to_string(n) +
-                              " slots)");
-            if (isFree[h])
-                return refuse(hs + " listed twice");
-            if (liveFlags[h])
-                return refuse(hs + " is flagged live");
+            const char *why = h >= n      ? " out of range"
+                              : isFree[h] ? " listed twice"
+                              : live[h]   ? " is flagged live"
+                                          : nullptr;
+            if (why)
+                return refuse("freelist handle " + std::to_string(h) +
+                              why + " (" + std::to_string(n) + " slots)");
             isFree[h] = 1;
         }
         if (inUse_ != nLive)
@@ -230,7 +229,7 @@ class PacketPool
   private:
     std::deque<Packet> slots;
     std::vector<PacketHandle> freeList;
-    std::vector<char> liveFlags;
+    std::vector<char> live;
     std::uint64_t inUse_ = 0;
     Stats st;
 };
@@ -312,12 +311,13 @@ class PacketQueue
             const PacketHandle h = d.get32();
             if (!d.ok())
                 return;
-            const std::string hs = "handle " + std::to_string(h);
-            if (!pool.isLive(h))
-                return d.fail(where + ": queued " + hs +
-                              " is not a live packet");
-            if (pool.get(h).next != unlinkedHandle)
-                return d.fail(where + ": " + hs + " is queued twice");
+            const char *why = !pool.isLive(h) ? " is not a live packet"
+                              : pool.get(h).next != unlinkedHandle
+                                  ? " is queued twice"
+                                  : nullptr;
+            if (why)
+                return d.fail(where + ": queued handle " +
+                              std::to_string(h) + why);
             push(pool, h);
         }
     }
