@@ -386,13 +386,9 @@ CoherentNode::sendAfter(double delay_ns, MsgType type, NodeId dst,
                         mem::Addr line, NodeId requester,
                         std::uint32_t aux)
 {
-    ctx.queue().schedule(nsToTicks(delay_ns),
-                         cohDesc(ckpt::CohSendMsg, self,
-                                 static_cast<int>(type), dst, requester,
-                                 line, aux),
-                         [this, type, dst, line, requester, aux] {
-        send(type, dst, line, requester, aux);
-    });
+    const auto d = cohDesc(ckpt::CohSendMsg, self, static_cast<int>(type),
+                           dst, requester, line, aux);
+    ctx.queue().schedule(nsToTicks(delay_ns), d, callback(d));
 }
 
 void
@@ -654,11 +650,10 @@ CoherentNode::finishFill(std::size_t slot)
         // Park the waiters in fillBatches rather than capturing them
         // in the event: the batch id in the event's desc is all a
         // snapshot needs to re-attach the (serializable) group.
-        const std::uint64_t id = fillBatches[batch].id;
-        ctx.queue().schedule(
-            nsToTicks(cfg.fillOverheadNs),
-            cohDesc(ckpt::CohFillBatch, self, 0, 0, 0, id),
-            [this, id] { runFillBatch(id); });
+        const auto d =
+            cohDesc(ckpt::CohFillBatch, self, 0, 0, 0, fillBatches[batch].id);
+        ctx.queue().schedule(nsToTicks(cfg.fillOverheadNs), d,
+                             callback(d));
     }
 
     // Forwards that raced with the miss can be serviced now. Neither
@@ -910,23 +905,15 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
       case MsgType::RdModReq:
         if (e->state() == DirState::Invalid) {
             beginBusy(*e);
-            zboxReadSpan(
-                line, req,
-                ckpt::Cont(cohDesc(ckpt::CohHomeReadExcl, self, req, 0,
-                                   0, line),
-                           [this, line, req] {
-                               scheduleHomeExcl(line, req);
-                           }));
+            const auto d =
+                cohDesc(ckpt::CohHomeReadExcl, self, req, 0, 0, line);
+            zboxReadSpan(line, req, ckpt::Cont(d, callback(d)));
         } else if (e->state() == DirState::Shared) {
             beginBusy(*e);
-            bool mod = m.type == MsgType::RdModReq;
-            zboxReadSpan(
-                line, req,
-                ckpt::Cont(cohDesc(ckpt::CohHomeReadShared, self, req,
-                                   mod ? 1 : 0, 0, line),
-                           [this, line, req, mod] {
-                               scheduleHomeShared(line, req, mod);
-                           }));
+            const bool mod = m.type == MsgType::RdModReq;
+            const auto d = cohDesc(ckpt::CohHomeReadShared, self, req,
+                                   mod ? 1 : 0, 0, line);
+            zboxReadSpan(line, req, ckpt::Cont(d, callback(d)));
         } else { // Exclusive at a third party: forward.
             gs_assert(e->owner() != req, "owner re-request reached "
                                        "homeProcess");
@@ -949,11 +936,10 @@ CoherentNode::homeProcess(const Msg &m, DirEntry *e)
             bool dirty = m.type == MsgType::VictimWB;
             if (dirty)
                 zboxFor(line).write(line);
-            ctx.queue().schedule(
-                nsToTicks(cfg.homeOverheadNs),
-                cohDesc(ckpt::CohHomeApplyVictim, self, req, 0, 0,
-                        line),
-                [this, line, req] { applyHomeVictim(line, req); });
+            const auto d =
+                cohDesc(ckpt::CohHomeApplyVictim, self, req, 0, 0, line);
+            ctx.queue().schedule(nsToTicks(cfg.homeOverheadNs), d,
+                                 callback(d));
         } else {
             // Stale victim: its line was already forwarded away from
             // the sender's victim buffer. Ack and drop the data.
@@ -971,10 +957,8 @@ void
 CoherentNode::scheduleHomeExcl(mem::Addr line, NodeId req)
 {
     spanDramDone(line, req);
-    ctx.queue().schedule(
-        nsToTicks(cfg.homeOverheadNs),
-        cohDesc(ckpt::CohHomeApplyExcl, self, req, 0, 0, line),
-        [this, line, req] { applyHomeExcl(line, req); });
+    const auto d = cohDesc(ckpt::CohHomeApplyExcl, self, req, 0, 0, line);
+    ctx.queue().schedule(nsToTicks(cfg.homeOverheadNs), d, callback(d));
 }
 
 void
@@ -992,11 +976,9 @@ void
 CoherentNode::scheduleHomeShared(mem::Addr line, NodeId req, bool mod)
 {
     spanDramDone(line, req);
-    ctx.queue().schedule(
-        nsToTicks(cfg.homeOverheadNs),
-        cohDesc(ckpt::CohHomeApplyShared, self, req, mod ? 1 : 0, 0,
-                line),
-        [this, line, req, mod] { applyHomeShared(line, req, mod); });
+    const auto d =
+        cohDesc(ckpt::CohHomeApplyShared, self, req, mod ? 1 : 0, 0, line);
+    ctx.queue().schedule(nsToTicks(cfg.homeOverheadNs), d, callback(d));
 }
 
 int
@@ -1108,21 +1090,19 @@ CoherentNode::homeOwnerReply(const Msg &m, NodeId from)
         std::uint64_t sharers = sharerBit(req);
         if (retains)
             sharers |= sharerBit(from);
-        ctx.queue().schedule(
-            nsToTicks(cfg.homeOverheadNs),
-            cohDesc(ckpt::CohHomeApplyDowngrade, self, 0, 0, 0, line,
-                    sharers),
-            [this, line, sharers] { applyHomeDowngrade(line, sharers); });
+        const auto d = cohDesc(ckpt::CohHomeApplyDowngrade, self, 0, 0, 0,
+                               line, sharers);
+        ctx.queue().schedule(nsToTicks(cfg.homeOverheadNs), d, callback(d));
         break;
       }
-      case MsgType::FwdAckTransfer:
+      case MsgType::FwdAckTransfer: {
         gs_assert(tit->second.type == MsgType::RdModReq,
                   "transfer reply for a non-write transaction");
-        ctx.queue().schedule(
-            nsToTicks(cfg.homeOverheadNs),
-            cohDesc(ckpt::CohHomeApplyTransfer, self, req, 0, 0, line),
-            [this, line, req] { applyHomeTransfer(line, req); });
+        const auto d =
+            cohDesc(ckpt::CohHomeApplyTransfer, self, req, 0, 0, line);
+        ctx.queue().schedule(nsToTicks(cfg.homeOverheadNs), d, callback(d));
         break;
+      }
       default:
         gs_panic("bad owner reply type");
     }
@@ -1538,67 +1518,58 @@ CoherentNode::restoreCkpt(ckpt::Deserializer &d,
     }
 }
 
-std::function<void()>
-CoherentNode::rehydrateEvent(const ckpt::EventDesc &d)
+void
+CoherentNode::fire(const ckpt::EventDesc &d)
 {
+    const mem::Addr line = d.u;
     switch (d.kind) {
-      case ckpt::CohSendMsg: {
-        const auto type = static_cast<MsgType>(d.a);
-        const NodeId dst = d.b;
-        const NodeId requester = d.c;
-        const mem::Addr line = d.u;
-        const auto aux = static_cast<std::uint32_t>(d.v);
-        return [this, type, dst, line, requester, aux] {
-            send(type, dst, line, requester, aux);
-        };
-      }
-      case ckpt::CohFillBatch: {
-        const std::uint64_t id = d.u;
-        return [this, id] { runFillBatch(id); };
-      }
-      case ckpt::CohHomeReadExcl: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { scheduleHomeExcl(line, req); };
-      }
-      case ckpt::CohHomeApplyExcl: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { applyHomeExcl(line, req); };
-      }
-      case ckpt::CohHomeReadShared: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        const bool mod = d.b != 0;
-        return
-            [this, line, req, mod] { scheduleHomeShared(line, req, mod); };
-      }
-      case ckpt::CohHomeApplyShared: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        const bool mod = d.b != 0;
-        return
-            [this, line, req, mod] { applyHomeShared(line, req, mod); };
-      }
-      case ckpt::CohHomeApplyVictim: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { applyHomeVictim(line, req); };
-      }
-      case ckpt::CohHomeApplyDowngrade: {
-        const mem::Addr line = d.u;
-        const std::uint64_t sharers = d.v;
-        return
-            [this, line, sharers] { applyHomeDowngrade(line, sharers); };
-      }
-      case ckpt::CohHomeApplyTransfer: {
-        const mem::Addr line = d.u;
-        const NodeId req = d.a;
-        return [this, line, req] { applyHomeTransfer(line, req); };
-      }
+      case ckpt::CohSendMsg:
+        send(static_cast<MsgType>(d.a), d.b, line, d.c,
+             static_cast<std::uint32_t>(d.v));
+        return;
+      case ckpt::CohFillBatch:
+        runFillBatch(d.u);
+        return;
+      case ckpt::CohHomeReadExcl:
+        scheduleHomeExcl(line, d.a);
+        return;
+      case ckpt::CohHomeApplyExcl:
+        applyHomeExcl(line, d.a);
+        return;
+      case ckpt::CohHomeReadShared:
+        scheduleHomeShared(line, d.a, d.b != 0);
+        return;
+      case ckpt::CohHomeApplyShared:
+        applyHomeShared(line, d.a, d.b != 0);
+        return;
+      case ckpt::CohHomeApplyVictim:
+        applyHomeVictim(line, d.a);
+        return;
+      case ckpt::CohHomeApplyDowngrade:
+        applyHomeDowngrade(line, d.v);
+        return;
+      case ckpt::CohHomeApplyTransfer:
+        applyHomeTransfer(line, d.a);
+        return;
       default:
-        return {};
+        gs_panic("node ", self, " fired a ", ckpt::kindName(d.kind),
+                 " event");
     }
+}
+
+const char *
+CoherentNode::badEvent(const ckpt::EventDesc &d) const
+{
+    if (d.kind != ckpt::CohSendMsg)
+        return nullptr;
+    const int nodes = net_.topology().numNodes();
+    if (d.a < 0 || d.a >= numMsgTypes)
+        return "message type out of range";
+    if (d.b < 0 || d.b >= nodes)
+        return "destination out of range";
+    if (d.c < 0 || d.c >= nodes)
+        return "requester out of range";
+    return nullptr;
 }
 
 } // namespace gs::coher

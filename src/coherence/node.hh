@@ -305,22 +305,27 @@ class CoherentNode
      */
     void setSpanCollector(trace::SpanCollector *c) { spans_ = c; }
 
-    /** @name Checkpoint/restore
+    /** @name Events and checkpoint/restore
      *
-     * Serializes the protocol engine wholesale: stats, L2 tags,
-     * Zboxes, the MAF (waiter/retry continuations by descriptor,
-     * deferred forwards by value), victim buffers, the directory
-     * (including Busy-transaction bookkeeping and queued requests),
-     * throttled core accesses and in-flight fill batches. Restore
-     * rebuilds every held continuation through @p rehydrate.
-     * rehydrateEvent rebuilds the callbacks of pending events this
-     * node owns (Coh* descriptor kinds).
+     * Each event and continuation of this node is a Coh* EventDesc;
+     * live or restored, its callback is callback(desc), which runs
+     * fire(desc). saveCkpt serializes the protocol engine wholesale:
+     * stats, L2 tags, Zboxes, the MAF (waiter/retry continuations by
+     * descriptor, deferred forwards by value), victim buffers, the
+     * directory (including Busy-transaction bookkeeping and queued
+     * requests), throttled core accesses and in-flight fill batches.
+     * Restore rebuilds every held continuation through @p rehydrate.
+     * badEvent says why a restored CohSendMsg names no message type,
+     * destination or requester of this machine (else nullptr).
      */
     /// @{
+    void fire(const ckpt::EventDesc &d);
+    auto callback(const ckpt::EventDesc &d) { return [this, d] { fire(d); }; }
+    const char *badEvent(const ckpt::EventDesc &d) const;
+
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d,
                      const ckpt::RehydrateFn &rehydrate);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
 
   private:
@@ -447,11 +452,9 @@ class CoherentNode
     void finishTxn(mem::Addr line, DirEntry &e);
     mem::Zbox &zboxFor(mem::Addr line);
 
-    // Home transaction bodies, factored out of homeProcess /
-    // homeOwnerReply so rehydrateEvent can rebuild the exact
-    // callback a snapshot found pending (scheduleHome* are the
-    // zbox-read continuations; applyHome* the directory updates
-    // they schedule after homeOverheadNs).
+    // Home transaction bodies, the actions of the CohHome* events
+    // (scheduleHome* are the zbox-read continuations; applyHome*
+    // the directory updates they schedule after homeOverheadNs).
     void scheduleHomeExcl(mem::Addr line, NodeId req);
     void applyHomeExcl(mem::Addr line, NodeId req);
     void scheduleHomeShared(mem::Addr line, NodeId req, bool mod);

@@ -81,10 +81,9 @@ TimingCore::pump()
             if (staged->thinkNs > 0) {
                 // Compute serializes in front of the issue stage.
                 thinking = true;
-                ctx.queue().schedule(
-                    nsToTicks(staged->thinkNs),
-                    opDesc(ckpt::CoreThink, node.id(), *staged),
-                    [this] { thinkDone(); });
+                const auto d = opDesc(ckpt::CoreThink, node.id(), *staged);
+                ctx.queue().schedule(nsToTicks(staged->thinkNs), d,
+                                     callback(d));
                 return;
             }
         }
@@ -116,15 +115,14 @@ TimingCore::issue(const MemOp &op)
     // always visit the coherent L2 so upgrades are never skipped.
     if (l1 && !op.write && l1->lookup(op.addr, false).hit) {
         st.l1Hits += 1;
-        ctx.queue().schedule(nsToTicks(prm.l1.loadToUseNs),
-                             opDesc(ckpt::CoreL1Hit, node.id(), op),
-                             [this, op] { complete(op); });
+        const auto d = opDesc(ckpt::CoreL1Hit, node.id(), op);
+        ctx.queue().schedule(nsToTicks(prm.l1.loadToUseNs), d,
+                             callback(d));
         return;
     }
 
-    node.memAccess(op.addr, op.write,
-                   ckpt::Cont(opDesc(ckpt::CoreMemDone, node.id(), op),
-                              [this, op] { memDone(op); }));
+    const auto d = opDesc(ckpt::CoreMemDone, node.id(), op);
+    node.memAccess(op.addr, op.write, ckpt::Cont(d, callback(d)));
 }
 
 void
@@ -225,22 +223,22 @@ TimingCore::restoreCkpt(ckpt::Deserializer &d)
         l1->restoreCkpt(d);
 }
 
-std::function<void()>
-TimingCore::rehydrateEvent(const ckpt::EventDesc &d)
+void
+TimingCore::fire(const ckpt::EventDesc &d)
 {
     switch (d.kind) {
       case ckpt::CoreThink:
-        return [this] { thinkDone(); };
-      case ckpt::CoreL1Hit: {
-        const MemOp op = opOf(d);
-        return [this, op] { complete(op); };
-      }
-      case ckpt::CoreMemDone: {
-        const MemOp op = opOf(d);
-        return [this, op] { memDone(op); };
-      }
+        thinkDone();
+        return;
+      case ckpt::CoreL1Hit:
+        complete(opOf(d));
+        return;
+      case ckpt::CoreMemDone:
+        memDone(opOf(d));
+        return;
       default:
-        return {};
+        gs_panic("core ", node.id(), " fired a ",
+                 ckpt::kindName(d.kind), " event");
     }
 }
 

@@ -104,18 +104,21 @@ class TimingCore
     }
     /// @}
 
-    /** @name Checkpoint/restore: issue-stage state and the L1.
+    /** @name Events and checkpoint/restore: issue-stage state and L1.
      *
-     * The attached TrafficSource is serialized by its owner (the
-     * bench keeps the sources; Machine::save snapshots them in the
-     * workload section). rehydrateEvent rebuilds think-timer, L1-hit
-     * and memory-completion callbacks (Core* descriptor kinds, op
-     * operands encoded in the desc).
+     * Think-timer, L1-hit and memory-completion events are Core*
+     * EventDescs (the op encoded in the operands); live or restored,
+     * their callback is callback(desc), which runs fire(desc). The
+     * attached TrafficSource is serialized by its owner (the bench
+     * keeps the sources; Machine::save snapshots them in the
+     * workload section).
      */
     /// @{
+    void fire(const ckpt::EventDesc &d);
+    auto callback(const ckpt::EventDesc &d) { return [this, d] { fire(d); }; }
+
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
 
   private:

@@ -60,11 +60,8 @@ void
 FaultInjector::schedule(const FaultPlan &plan)
 {
     for (const FaultEvent &event : plan.events()) {
-        ctx.queue().scheduleAt(event.when, faultDesc(event),
-                               [this, event] {
-                                   if (!suppress_)
-                                       apply(event);
-                               });
+        const auto d = faultDesc(event);
+        ctx.queue().scheduleAt(event.when, d, callback(d));
     }
 }
 
@@ -135,16 +132,13 @@ FaultInjector::restoreCkpt(ckpt::Deserializer &d)
     suppress_ = suppress_ || was;
 }
 
-std::function<void()>
-FaultInjector::rehydrateEvent(const ckpt::EventDesc &d)
+void
+FaultInjector::fire(const ckpt::EventDesc &d)
 {
-    if (d.kind != ckpt::FaultApply)
-        return {};
-    const FaultEvent event = faultOf(d);
-    return [this, event] {
-        if (!suppress_)
-            apply(event);
-    };
+    gs_assert(d.kind == ckpt::FaultApply, "fault injector fired a ",
+              ckpt::kindName(d.kind), " event");
+    if (!suppress_)
+        apply(faultOf(d));
 }
 
 void

@@ -151,16 +151,18 @@ class FaultInjector
     void suppressFaults() { suppress_ = true; }
     bool faultsSuppressed() const { return suppress_; }
 
-    /** @name Checkpoint/restore: statistics + suppression flag.
+    /** @name Events and checkpoint/restore: stats + suppression flag.
      *
-     * Pending FaultApply events live in the event queue; the whole
-     * FaultEvent is encoded in the descriptor operands, so
-     * rehydrateEvent rebuilds them without a plan replay.
+     * A scheduled fault is a FaultApply EventDesc encoding the whole
+     * FaultEvent; live or restored (no plan replay), its callback is
+     * callback(desc), and fire(desc) applies it unless suppressed.
      */
     /// @{
+    void fire(const ckpt::EventDesc &d);
+    auto callback(const ckpt::EventDesc &d) { return [this, d] { fire(d); }; }
+
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
 
   private:

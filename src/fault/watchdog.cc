@@ -55,18 +55,22 @@ Watchdog::disarm()
     token.reset();
 }
 
+InlineFn
+Watchdog::pollFn()
+{
+    return [this, alive = std::weak_ptr<char>(token)] {
+        if (!alive.expired())
+            poll();
+    };
+}
+
 void
 Watchdog::scheduleNext()
 {
     Tick delay = static_cast<Tick>(cfg.checkCycles) * net_.period();
     ckpt::EventDesc desc;
     desc.kind = ckpt::WatchdogPoll;
-    std::weak_ptr<char> alive = token;
-    ctx.queue().scheduleAt(ctx.now() + delay, desc, [this, alive] {
-        if (alive.expired())
-            return;
-        poll();
-    });
+    ctx.queue().scheduleAt(ctx.now() + delay, desc, pollFn());
 }
 
 void
@@ -201,20 +205,6 @@ Watchdog::restoreCkpt(ckpt::Deserializer &d)
     if (!d.ok())
         return;
     token = wasArmed ? std::make_shared<char>(0) : nullptr;
-}
-
-std::function<void()>
-Watchdog::rehydrateEvent(const ckpt::EventDesc &d)
-{
-    if (d.kind != ckpt::WatchdogPoll)
-        return {};
-    // Rehydrated polls key liveness off the token itself: pending
-    // events from before the snapshot died with the old token, and
-    // disarm() after restore still cancels these.
-    return [this] {
-        if (token)
-            poll();
-    };
 }
 
 std::string

@@ -100,18 +100,20 @@ class Watchdog
     /** @name Checkpoint/restore of monitor state.
      *
      * Pending poll events are serialized by the event queue
-     * (WatchdogPoll descriptor); rehydrateEvent rebuilds their
-     * callbacks. An armed watchdog restores armed, driven by the
-     * snapshot's own pending poll event — restore does not schedule
-     * a fresh one.
+     * (WatchdogPoll descriptor). An armed watchdog restores armed,
+     * with a fresh token, driven by the snapshot's own pending poll
+     * event, whose callback() is a live poll's pollFn().
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
+    InlineFn callback(const ckpt::EventDesc &) { return pollFn(); }
     /// @}
 
   private:
+    /** A poll; a no-op once its token is gone (disarm, trip, restore). */
+    InlineFn pollFn();
+
     void scheduleNext();
     void poll();
     void trip(const std::string &why);

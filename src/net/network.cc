@@ -218,21 +218,12 @@ Network::mergeFor(int d, Tick window_start)
         const XEntry &e = mail[mbox(r.src, d)].buf[par][r.idx];
         gs_assert(e.due >= window_start,
                   "mailbox entry due before the merge window");
-        Router *rt = routers[std::size_t(e.node)].get();
-        if (e.credit) {
-            const int port = e.port, vc = e.vc, flits = e.flits;
-            q.scheduleMergedAt(
-                e.due, netDesc(ckpt::NetCredit, e.node, port, vc, flits),
-                [rt, port, vc, flits] {
-                    rt->creditReturn(port, vc, flits);
-                });
-        } else {
-            PacketHandle h = sh.pool.acquire(e.pkt);
-            const int port = e.port, vc = e.vc;
-            q.scheduleMergedAt(
-                e.due, netDesc(ckpt::NetReceive, e.node, port, vc, 0, h),
-                [rt, port, vc, h] { rt->receive(port, vc, h); });
-        }
+        const ckpt::EventDesc ev =
+            e.credit ? netDesc(ckpt::NetCredit, e.node, e.port, e.vc,
+                               e.flits)
+                     : netDesc(ckpt::NetReceive, e.node, e.port, e.vc, 0,
+                               sh.pool.acquire(e.pkt));
+        q.scheduleMergedAt(e.due, ev, callback(ev));
     }
     for (int s = 0; s < nDomains; ++s) {
         if (s == d)
@@ -399,28 +390,20 @@ Network::inject(Packet pkt)
         // agent-to-router-to-agent handoff.
         Tick delay = static_cast<Tick>(prm.injectionCycles +
                                        prm.ejectionCycles) * tickPeriod;
-        NodeId node = pkt.dst;
-        c.queue().schedule(delay,
-                           netDesc(ckpt::NetDeliverLocal, node, 0, 0, 0, h),
-                           [this, node, h] { deliverNow(node, h); });
+        const auto d = netDesc(ckpt::NetDeliverLocal, pkt.dst, 0, 0, 0, h);
+        c.queue().schedule(delay, d, callback(d));
         return;
     }
 
     Tick delay = static_cast<Tick>(prm.injectionCycles) * tickPeriod;
-    NodeId node = pkt.src;
     if (nDomains > 1) {
         // Record the pending router-inject due for publishFor's
         // revival-edge view (injects are the only activation source
         // not aligned to the router clock).
         sh.injDues.push_back(c.now() + delay);
     }
-    c.queue().schedule(delay,
-                       netDesc(ckpt::NetInjStart, node, 0, 0, 0, h),
-                       [this, node, h] {
-                           consumeInj(node);
-                           routers[static_cast<std::size_t>(node)]
-                               ->inject(h);
-                       });
+    const auto d = netDesc(ckpt::NetInjStart, pkt.src, 0, 0, 0, h);
+    c.queue().schedule(delay, d, callback(d));
 }
 
 void
@@ -446,19 +429,8 @@ Network::scheduleArrival(NodeId from, NodeId to, int in_port, int vc,
     const Tick delay = static_cast<Tick>(delay_cycles) * tickPeriod;
 
     if (sd == dd) {
-        c.queue().schedule(
-            delay, netDesc(ckpt::NetReceive, to, in_port, vc, 0, h),
-            [this, to, in_port, vc, h] {
-                // The packet was on the wire when the downstream
-                // router died: its flits arrive at a dead receiver
-                // and are lost.
-                if (degraded_ && deadNode[std::size_t(to)]) {
-                    dropPacket(to, h, "dead-receiver");
-                    return;
-                }
-                routers[static_cast<std::size_t>(to)]->receive(in_port,
-                                                               vc, h);
-            });
+        const auto d = netDesc(ckpt::NetReceive, to, in_port, vc, 0, h);
+        c.queue().schedule(delay, d, callback(d));
         return;
     }
 
@@ -502,12 +474,8 @@ Network::scheduleCredit(NodeId at_node, int in_port, int vc, int flits)
         static_cast<Tick>(prm.creditCycles) * tickPeriod;
 
     if (sd == dd) {
-        c.queue().schedule(
-            delay, netDesc(ckpt::NetCredit, peer, peerPort, vc, flits),
-            [this, peer, peerPort, vc, flits] {
-                routers[static_cast<std::size_t>(peer)]->creditReturn(
-                    peerPort, vc, flits);
-            });
+        const auto d = netDesc(ckpt::NetCredit, peer, peerPort, vc, flits);
+        c.queue().schedule(delay, d, callback(d));
         return;
     }
 
@@ -534,9 +502,8 @@ Network::deliverLocal(NodeId node, PacketHandle h)
                    : 0;
     Tick delay =
         static_cast<Tick>(prm.ejectionCycles + tail) * tickPeriod;
-    ctxOf(node).queue().schedule(
-        delay, netDesc(ckpt::NetDeliverLocal, node, 0, 0, 0, h),
-        [this, node, h] { deliverNow(node, h); });
+    const auto d = netDesc(ckpt::NetDeliverLocal, node, 0, 0, 0, h);
+    ctxOf(node).queue().schedule(delay, d, callback(d));
 }
 
 void
@@ -674,8 +641,8 @@ Network::activate(NodeId at)
         // truly dead fabric restarts.
         edge = sh.windowEdge;
     }
-    c.queue().scheduleAt(edge, netDesc(ckpt::NetTick, d),
-                         [this, d] { tickDomain(d); });
+    const auto ev = netDesc(ckpt::NetTick, d);
+    c.queue().scheduleAt(edge, ev, callback(ev));
 }
 
 void
@@ -690,8 +657,8 @@ Network::tickDomain(int d)
         any = any || !router.idle();
     }
     if (any) {
-        c.queue().schedule(tickPeriod, netDesc(ckpt::NetTick, d),
-                           [this, d] { tickDomain(d); });
+        const auto ev = netDesc(ckpt::NetTick, d);
+        c.queue().schedule(tickPeriod, ev, callback(ev));
     } else {
         shards[std::size_t(d)]->ticking = false;
     }
@@ -826,50 +793,57 @@ Network::restoreCkpt(ckpt::Deserializer &d)
     widened_ = false; // recomputed by the next window's hook
 }
 
-std::function<void()>
-Network::rehydrateEvent(const ckpt::EventDesc &d)
+void
+Network::fire(const ckpt::EventDesc &d)
 {
+    const NodeId node = d.owner;
+    const auto h = static_cast<PacketHandle>(d.u);
     switch (d.kind) {
-      case ckpt::NetInjStart: {
-        const NodeId node = d.owner;
-        const auto h = static_cast<PacketHandle>(d.u);
-        return [this, node, h] {
-            consumeInj(node);
-            routers[static_cast<std::size_t>(node)]->inject(h);
-        };
-      }
-      case ckpt::NetDeliverLocal: {
-        const NodeId node = d.owner;
-        const auto h = static_cast<PacketHandle>(d.u);
-        return [this, node, h] { deliverNow(node, h); };
-      }
-      case ckpt::NetReceive: {
-        const NodeId to = d.owner;
-        const int port = d.a, vc = d.b;
-        const auto h = static_cast<PacketHandle>(d.u);
-        return [this, to, port, vc, h] {
-            if (degraded_ && deadNode[std::size_t(to)]) {
-                dropPacket(to, h, "dead-receiver");
-                return;
-            }
-            routers[static_cast<std::size_t>(to)]->receive(port, vc, h);
-        };
-      }
-      case ckpt::NetCredit: {
-        const NodeId peer = d.owner;
-        const int port = d.a, vc = d.b, flits = d.c;
-        return [this, peer, port, vc, flits] {
-            routers[static_cast<std::size_t>(peer)]->creditReturn(
-                port, vc, flits);
-        };
-      }
-      case ckpt::NetTick: {
-        const int dom = d.owner;
-        return [this, dom] { tickDomain(dom); };
-      }
+      case ckpt::NetInjStart:
+        consumeInj(node);
+        routers[std::size_t(node)]->inject(h);
+        return;
+      case ckpt::NetDeliverLocal:
+        deliverNow(node, h);
+        return;
+      case ckpt::NetReceive:
+        // The packet was on the wire when the downstream router
+        // died: its flits arrive at a dead receiver and are lost.
+        if (degraded_ && deadNode[std::size_t(node)]) {
+            dropPacket(node, h, "dead-receiver");
+            return;
+        }
+        routers[std::size_t(node)]->receive(d.a, d.b, h);
+        return;
+      case ckpt::NetCredit:
+        routers[std::size_t(node)]->creditReturn(d.a, d.b, d.c);
+        return;
+      case ckpt::NetTick:
+        tickDomain(d.owner);
+        return;
       default:
-        return {};
+        gs_panic("network fired a ", ckpt::kindName(d.kind), " event");
     }
+}
+
+const char *
+Network::badEvent(const ckpt::EventDesc &d) const
+{
+    if (d.kind == ckpt::NetTick)
+        return d.owner < nDomains ? nullptr : "domain out of range";
+    if (d.owner >= routers.size())
+        return "node out of range";
+    if (d.kind == ckpt::NetReceive || d.kind == ckpt::NetCredit) {
+        if (d.a < 0 || d.a >= topo_.numPorts(d.owner))
+            return "port out of range";
+        if (d.b < 0 || d.b >= numVcs)
+            return "vc out of range";
+    }
+    if (d.kind != ckpt::NetCredit &&
+        (d.u > ~PacketHandle(0) ||
+         !poolOf(d.owner).isLive(static_cast<PacketHandle>(d.u))))
+        return "packet handle not live";
+    return nullptr;
 }
 
 } // namespace gs::net

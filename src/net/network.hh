@@ -293,21 +293,25 @@ class Network
     void dropPacket(NodeId at, PacketHandle h, const char *why);
     /// @}
 
-    /** @name Checkpoint/restore
+    /** @name Events and checkpoint/restore
      *
-     * Serializes the fabric wholesale: every shard (pool, stats,
+     * Each fabric event is a Net* EventDesc; live or restored, its
+     * callback is callback(desc), which runs fire(desc). saveCkpt
+     * serializes the fabric wholesale: every shard (pool, stats,
      * tick-chain state, inject dues, cross-traffic counters), both
-     * parities of every mailbox, per-link flit counters, fault
-     * flags and every router. Restore requires the same partition
-     * layout the snapshot was taken with (domain count is checked).
-     * Pending events are re-entered separately by the Machine via
-     * rehydrateEvent, which rebuilds the callback a NET-owned
-     * EventDesc describes.
+     * parities of every mailbox, fault flags and every router.
+     * Restore requires the same partition layout the snapshot was
+     * taken with (domain count is checked). badEvent says why a
+     * restored desc names no node, domain, port, VC or live packet
+     * of this fabric (nullptr when it names them all).
      */
     /// @{
+    void fire(const ckpt::EventDesc &d);
+    auto callback(const ckpt::EventDesc &d) { return [this, d] { fire(d); }; }
+    const char *badEvent(const ckpt::EventDesc &d) const;
+
     void saveCkpt(ckpt::Serializer &s) const;
     void restoreCkpt(ckpt::Deserializer &d);
-    std::function<void()> rehydrateEvent(const ckpt::EventDesc &d);
     /// @}
 
     /** @name Router-internal plumbing (used by Router) */

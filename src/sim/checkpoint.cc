@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -112,6 +113,22 @@ saveCont(Serializer &s, const Cont &c, const char *what)
     s.putDesc(c.desc);
 }
 
+const char *
+kindName(std::uint16_t kind)
+{
+    static constexpr const char *names[] = {
+        "Opaque", "NetInjStart", "NetDeliverLocal", "NetReceive",
+        "NetCredit", "NetTick", "CohSendMsg", "CohFillBatch",
+        "CohHomeReadExcl", "CohHomeApplyExcl", "CohHomeReadShared",
+        "CohHomeApplyShared", "CohHomeApplyVictim",
+        "CohHomeApplyDowngrade", "CohHomeApplyTransfer", "CoreThink",
+        "CoreL1Hit", "CoreMemDone", "FaultApply", "WatchdogPoll",
+        "ClientEvent"};
+    static_assert(std::size(names) == ClientEvent + 1,
+                  "one name per EvKind");
+    return kind < std::size(names) ? names[kind] : "?";
+}
+
 Cont
 restoreCont(Deserializer &d, const RehydrateFn &rehydrate,
             const char *what)
@@ -120,17 +137,12 @@ restoreCont(Deserializer &d, const RehydrateFn &rehydrate,
     c.desc = d.getDesc();
     if (!d.ok())
         return c;
-    // Test the recipe's std::function itself: an InlineFn wrapping
-    // an empty std::function would be truthy.
-    std::function<void()> fn = rehydrate(c.desc);
-    if (!fn) {
+    c.fn = rehydrate(c.desc);
+    if (!c.fn) {
         d.fail(std::string("snapshot corrupt: no rehydration recipe "
                            "for ") +
-               what + " (event kind " + std::to_string(c.desc.kind) +
-               ")");
-        return c;
+               what + " (event kind " + kindName(c.desc.kind) + ")");
     }
-    c.fn = std::move(fn);
     return c;
 }
 

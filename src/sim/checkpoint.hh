@@ -17,18 +17,18 @@
  *    restore code can be written straight-line and the caller checks
  *    ok() once.
  *
- *  - EventDesc: a 32-byte POD describing how to rebuild a pending
- *    event's callback after restore. It sits next to the callback in
- *    the event kernel's payload slab, which the calendar never moves,
- *    so describing every event costs the hot path one 32-byte store.
- *    Kind 0 (Opaque) marks a callback that cannot be rebuilt; saving
- *    fails loudly if one is pending.
+ *  - EventDesc: a 32-byte POD naming a pending event's action. Its
+ *    owner's fire(desc) runs the action, and the event's callback,
+ *    live or rebuilt at restore, is `[owner, desc] { fire(desc); }`.
+ *    It sits next to the callback in the event kernel's payload
+ *    slab. Kind 0 (Opaque) marks a callback that cannot be rebuilt;
+ *    saving fails loudly if one is pending.
  *
  *  - Cont: a continuation (callback + EventDesc) components hold in
  *    their own pending state (MAF waiters, deferred core requests).
  *    It is implicitly constructible from any callable — such a Cont
  *    is Opaque, which keeps non-checkpointed call sites compiling
- *    unchanged — and from (desc, callable) for serializable ones.
+ *    unchanged — and from (desc, callback) for serializable ones.
  *    It is move-only (the callback is an InlineFn).
  */
 
@@ -83,13 +83,13 @@ constexpr std::uint32_t secCkpt = fourcc('C', 'K', 'P', 'T');
 constexpr std::uint32_t secXtra = fourcc('X', 'T', 'R', 'A');
 
 /**
- * How to rebuild a pending event's callback after restore.
+ * What a pending event does, in a form that survives a snapshot.
  *
- * `kind` selects the owning component's rehydration recipe (EvKind);
- * `owner` is the component instance (node id, cpu id, network
- * domain, or registered-client id); a/b/c/u/v are kind-specific
- * operands. Exactly 32 bytes: it shares an event-kernel slab slot
- * with the callback (EventQueue::Payload).
+ * `kind` selects the action (EvKind); `owner` is the component
+ * instance (node id, cpu id, network domain, or registered-client
+ * id); a/b/c/u/v are kind-specific operands. Exactly 32 bytes: it
+ * shares an event-kernel slab slot with the callback
+ * (EventQueue::Payload).
  */
 struct EventDesc
 {
@@ -142,6 +142,9 @@ enum EvKind : std::uint16_t
     ClientEvent, ///< owner = client id; operands are client-defined
 };
 
+/** The EvKind enumerator's name of @p kind ("?" when unknown). */
+const char *kindName(std::uint16_t kind);
+
 /**
  * A continuation a component holds in its own pending state.
  *
@@ -181,9 +184,8 @@ class Cont
     EventDesc desc;
 };
 
-/** Rebuilds the callback a serialized EventDesc describes. */
-using RehydrateFn =
-    std::function<std::function<void()>(const EventDesc &)>;
+/** A restored desc's callback; empty when no component owns it. */
+using RehydrateFn = std::function<InlineFn(const EventDesc &)>;
 
 class Serializer;
 class Deserializer;
@@ -503,9 +505,11 @@ class Client
     /** Restore state written by saveCkpt; report via @p d.fail(). */
     virtual void restoreCkpt(Deserializer &d) = 0;
 
-    /** Rebuild a pending event's callback from its desc. */
-    virtual std::function<void()>
-    rehydrateEvent(const EventDesc &d) = 0;
+    /**
+     * The callback of this client's pending event @p d, built as
+     * its live scheduling site builds it. The default owns none.
+     */
+    virtual InlineFn callback(const EventDesc &) { return {}; }
 
     /** Set by Machine::registerCkptClient; -1 while unregistered. */
     void setCkptClientId(int id) { ckptId_ = id; }

@@ -257,11 +257,7 @@ Sampler::start()
         return;
     token = std::make_shared<char>(0);
     lastSample_ = ctx.now();
-    std::weak_ptr<char> alive = token;
-    ctx.queue().schedule(interval_, clientDesc(), [this, alive] {
-        if (!alive.expired())
-            tick();
-    });
+    ctx.queue().schedule(interval_, clientDesc(), tickFn());
 }
 
 void
@@ -281,11 +277,16 @@ void
 Sampler::tick()
 {
     sampleNow();
-    std::weak_ptr<char> alive = token;
-    ctx.queue().schedule(interval_, clientDesc(), [this, alive] {
+    ctx.queue().schedule(interval_, clientDesc(), tickFn());
+}
+
+InlineFn
+Sampler::tickFn()
+{
+    return [this, alive = std::weak_ptr<char>(token)] {
         if (!alive.expired())
             tick();
-    });
+    };
 }
 
 void
@@ -348,17 +349,6 @@ Sampler::restoreCkpt(ckpt::Deserializer &d)
     if (!d.ok())
         return;
     token = wasRunning ? std::make_shared<char>(0) : nullptr;
-}
-
-std::function<void()>
-Sampler::rehydrateEvent(const ckpt::EventDesc &d)
-{
-    if (d.kind != ckpt::ClientEvent)
-        return {};
-    return [this] {
-        if (token)
-            tick();
-    };
 }
 
 // ---------------------------------------------------------------------

@@ -213,18 +213,22 @@ class Sampler : public ckpt::Client
      *
      * Register with Machine::registerCkptClient before save/restore
      * and watch the same paths in the same order before restoring.
+     * A running sampler restores running, with a fresh token; its
+     * pending tick's callback() is a live tick's tickFn().
      * Trace mirroring is wall-clock-shaped output and cannot be
      * checkpointed; saving with a mirror attached is fatal.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const override;
     void restoreCkpt(ckpt::Deserializer &d) override;
-    std::function<void()>
-    rehydrateEvent(const ckpt::EventDesc &d) override;
+    InlineFn callback(const ckpt::EventDesc &) override { return tickFn(); }
     /// @}
 
   private:
     void tick();
+
+    /** A sample tick; a no-op once its token is gone (stop, restore). */
+    InlineFn tickFn();
 
     SimContext &ctx;
     const Registry &reg;

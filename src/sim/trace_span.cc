@@ -219,11 +219,4 @@ SpanCollector::restoreCkpt(ckpt::Deserializer &d)
     snapCompleted_ = 0;
 }
 
-std::function<void()>
-SpanCollector::rehydrateEvent(const ckpt::EventDesc &d)
-{
-    (void)d;
-    gs_fatal("span collector schedules no events");
-}
-
 } // namespace gs::trace

@@ -284,13 +284,11 @@ class SpanCollector : public ckpt::Client
      * merged order — is serialized, and in-flight spans ride the
      * packet/MAF serialization, so a restored run's span export is
      * byte-identical to the unbroken run's. The collector schedules
-     * no events, so there is nothing to rehydrate.
+     * no events, so it keeps the default callback(), which owns none.
      */
     /// @{
     void saveCkpt(ckpt::Serializer &s) const override;
     void restoreCkpt(ckpt::Deserializer &d) override;
-    std::function<void()>
-    rehydrateEvent(const ckpt::EventDesc &d) override;
     /// @}
 
   private:

@@ -352,8 +352,8 @@ class Machine
     /** Enable watchdog-triggered rollback (arm a watchdog first). */
     void setRollbackPolicy(RollbackPolicy policy);
 
-    /** Rebuild a pending event's callback from its descriptor. */
-    std::function<void()> rehydrate(const ckpt::EventDesc &d);
+    /** The owning component's callback for @p d (empty if none). */
+    InlineFn rehydrate(const ckpt::EventDesc &d);
 
     std::uint64_t checkpointSaves() const { return ckptSaves_; }
     std::uint64_t checkpointRollbacks() const { return ckptRollbacks_; }
@@ -376,6 +376,9 @@ class Machine
     /// @{
     /** The event queues a snapshot covers, in section order. */
     std::vector<EventQueue *> ckptQueues();
+
+    /** Why restored @p d names no live state of this machine, or null. */
+    const char *badEvent(const ckpt::EventDesc &d) const;
 
     /** Bump nextCkptAt_ past now, save, die loudly on failure. */
     void checkpointNow();

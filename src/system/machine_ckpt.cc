@@ -21,8 +21,11 @@
  *         the uninterrupted run's byte-for-byte
  *
  * Event callbacks are never serialized: each pending event carries a
- * 32-byte EventDesc, and Machine::rehydrate routes it to the owning
- * component's recipe at restore.
+ * 32-byte EventDesc. Restore reads EVTQ first but re-enters its
+ * events last, once every component's state is back: each desc's
+ * operands are checked against that state, and Machine::rehydrate
+ * routes the desc to its owner's callback, the one the live
+ * scheduling site built.
  */
 
 #include <algorithm>
@@ -107,18 +110,16 @@ Machine::setRollbackPolicy(RollbackPolicy policy)
     retriesUsed_ = 0;
 }
 
-std::function<void()>
+InlineFn
 Machine::rehydrate(const ckpt::EventDesc &d)
 {
     switch (d.kind) {
-      case ckpt::Opaque:
-        return {};
       case ckpt::NetInjStart:
       case ckpt::NetDeliverLocal:
       case ckpt::NetReceive:
       case ckpt::NetCredit:
       case ckpt::NetTick:
-        return net->rehydrateEvent(d);
+        return net->callback(d);
       case ckpt::CohSendMsg:
       case ckpt::CohFillBatch:
       case ckpt::CohHomeReadExcl:
@@ -130,25 +131,35 @@ Machine::rehydrate(const ckpt::EventDesc &d)
       case ckpt::CohHomeApplyTransfer:
         if (d.owner >= nodes.size() || !nodes[d.owner])
             return {};
-        return nodes[d.owner]->rehydrateEvent(d);
+        return nodes[d.owner]->callback(d);
       case ckpt::CoreThink:
       case ckpt::CoreL1Hit:
       case ckpt::CoreMemDone:
         if (d.owner >= cores.size())
             return {};
-        return cores[d.owner]->rehydrateEvent(d);
+        return cores[d.owner]->callback(d);
       case ckpt::FaultApply:
-        return injector_->rehydrateEvent(d);
+        return injector_->callback(d);
       case ckpt::WatchdogPoll:
-        return watchdog_ ? watchdog_->rehydrateEvent(d)
-                         : std::function<void()>{};
+        return watchdog_ ? watchdog_->callback(d) : InlineFn{};
       case ckpt::ClientEvent:
         if (d.owner >= clients_.size())
             return {};
-        return clients_[d.owner]->rehydrateEvent(d);
+        return clients_[d.owner]->callback(d);
       default:
         return {};
     }
+}
+
+const char *
+Machine::badEvent(const ckpt::EventDesc &d) const
+{
+    if (d.kind >= ckpt::NetInjStart && d.kind <= ckpt::NetTick)
+        return net->badEvent(d);
+    if (d.kind == ckpt::CohSendMsg && d.owner < nodes.size() &&
+        nodes[d.owner])
+        return nodes[d.owner]->badEvent(d);
+    return nullptr;
 }
 
 bool
@@ -390,13 +401,18 @@ Machine::restore(const std::string &path,
     d.leaveSection("RNGS");
 
     // EVTQ ------------------------------------------------------------
+    // The pending events are re-entered after the last section: their
+    // callbacks bind to restored component state (liveness tokens)
+    // and their operands are checked against it (live packets).
     if (!d.enterSection(ckpt::secEvtq, "EVTQ"))
         return fail(d.error());
     auto qs = ckptQueues();
     if (d.getI32() != static_cast<std::int32_t>(qs.size()) && d.ok())
         d.fail("snapshot event-queue count differs from this "
                "machine's engine layout");
-    for (EventQueue *q : qs) {
+    std::vector<std::vector<PendingEv>> pending(qs.size());
+    for (std::size_t qi = 0; qi < qs.size(); ++qi) {
+        EventQueue *q = qs[qi];
         if (!d.ok())
             break;
         EventQueue::CkptState st;
@@ -421,14 +437,7 @@ Machine::restore(const std::string &path,
                        "the snapshot clock");
                 break;
             }
-            auto fn = rehydrate(desc);
-            if (!fn) {
-                d.fail("snapshot corrupt: no rehydration recipe for "
-                       "event kind " + std::to_string(desc.kind) +
-                       " (owner " + std::to_string(desc.owner) + ")");
-                break;
-            }
-            q->insertRestored(when, seq, desc, std::move(fn));
+            pending[qi].push_back({when, seq, desc});
         }
     }
     if (par_ && d.ok())
@@ -451,9 +460,8 @@ Machine::restore(const std::string &path,
     if (d.getI32() != static_cast<std::int32_t>(nodes.size()) &&
         d.ok())
         d.fail("snapshot node count differs from this machine");
-    ckpt::RehydrateFn rehydrateFn = [this](const ckpt::EventDesc &ed) {
-        return rehydrate(ed);
-    };
+    const ckpt::RehydrateFn rehydrateFn =
+        [this](const ckpt::EventDesc &ed) { return rehydrate(ed); };
     for (auto &node : nodes) {
         if (!d.ok())
             break;
@@ -554,6 +562,22 @@ Machine::restore(const std::string &path,
     d.leaveSection("CKPT");
     if (!d.ok())
         return fail(d.error());
+
+    // EVTQ events, now that their owners are restored -----------------
+    for (std::size_t qi = 0; qi < qs.size(); ++qi) {
+        for (const PendingEv &e : pending[qi]) {
+            const char *bad = badEvent(e.desc);
+            InlineFn fn = bad ? InlineFn{} : rehydrate(e.desc);
+            if (!fn) {
+                return fail(std::string("snapshot corrupt: pending "
+                                        "event ") +
+                            ckpt::kindName(e.desc.kind) + " (owner " +
+                            std::to_string(e.desc.owner) + "): " +
+                            (bad ? bad : "no component owns it"));
+            }
+            qs[qi]->insertRestored(e.when, e.seq, e.desc, std::move(fn));
+        }
+    }
 
     // Re-attach the workload: cores keep their restored execution
     // state; resume() only rebinds the source and completion hook.

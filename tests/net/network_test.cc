@@ -283,9 +283,16 @@ restoreNet(SimContext &ctx, Network &net, const NetSnapshot &snap)
     net.restoreCkpt(d);
     ASSERT_TRUE(d.ok()) << d.error();
     for (const auto &e : snap.events) {
-        auto fn = net.rehydrateEvent(e.desc);
-        ASSERT_TRUE(fn) << "event kind " << e.desc.kind;
-        ctx.queue().insertRestored(e.when, e.seq, e.desc, std::move(fn));
+        // Every pending event is the network's own and names live
+        // state of the restored fabric.
+        ASSERT_GE(e.desc.kind, ckpt::NetInjStart)
+            << "event kind " << ckpt::kindName(e.desc.kind);
+        ASSERT_LE(e.desc.kind, ckpt::NetTick)
+            << "event kind " << ckpt::kindName(e.desc.kind);
+        ASSERT_EQ(net.badEvent(e.desc), nullptr)
+            << "event kind " << ckpt::kindName(e.desc.kind);
+        ctx.queue().insertRestored(e.when, e.seq, e.desc,
+                                   net.callback(e.desc));
     }
 }
 

@@ -297,35 +297,48 @@ TEST(CheckpointFormat, ReadingPastSectionEndIsBounded)
         << d.error();
 }
 
+/** A checkpoint client that schedules nothing. */
+class QuietClient : public ckpt::Client
+{
+  public:
+    void saveCkpt(ckpt::Serializer &) const override {}
+    void restoreCkpt(ckpt::Deserializer &) override {}
+};
+
 TEST(CheckpointFormat, ContWithoutRecipeFailsTheSnapshot)
 {
     ckpt::Serializer s;
     s.beginSection(ckpt::secCoh);
-    ckpt::EventDesc desc;
-    desc.kind = ckpt::CoreMemDone;
-    s.putDesc(desc);
-    s.putDesc(desc);
+    ckpt::EventDesc known;
+    known.kind = ckpt::CoreMemDone;
+    s.putDesc(known);
+    ckpt::EventDesc unknown;
+    unknown.kind = ckpt::ClientEvent;
+    s.putDesc(unknown);
     s.endSection();
+
+    // Core completions have a callback; client events go to a client
+    // that keeps the default, which owns none.
+    int fired = 0;
+    QuietClient quiet;
+    const ckpt::RehydrateFn rehydrate =
+        [&fired, &quiet](const ckpt::EventDesc &ed) -> InlineFn {
+        if (ed.kind == ckpt::CoreMemDone)
+            return [&fired] { fired += 1; };
+        return quiet.callback(ed);
+    };
 
     ckpt::Deserializer d(s.buffer().data(), s.size());
     ASSERT_TRUE(d.enterSection(ckpt::secCoh, "COHR"));
-    // A recipe that knows the kind rebuilds a callable continuation.
-    int fired = 0;
-    ckpt::Cont good = ckpt::restoreCont(
-        d, [&fired](const ckpt::EventDesc &) -> std::function<void()> {
-            return [&fired] { fired += 1; };
-        },
-        "a test waiter");
+    // A known kind rebuilds a callable continuation.
+    ckpt::Cont good = ckpt::restoreCont(d, rehydrate, "a test waiter");
     ASSERT_TRUE(d.ok()) << d.error();
     ASSERT_TRUE(good);
     good();
     EXPECT_EQ(fired, 1);
 
-    // One that returns an empty std::function must fail the restore:
-    // wrapping it in the Cont's InlineFn would look callable.
-    ckpt::Cont bad = ckpt::restoreCont(
-        d, [](const ckpt::EventDesc &) { return std::function<void()>(); },
-        "a test waiter");
+    // An unknown one must fail the restore, naming the holder.
+    ckpt::Cont bad = ckpt::restoreCont(d, rehydrate, "a test waiter");
     EXPECT_FALSE(d.ok());
     EXPECT_FALSE(bad);
     EXPECT_NE(d.error().find("no rehydration recipe for a test waiter"),
