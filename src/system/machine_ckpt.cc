@@ -460,8 +460,9 @@ Machine::restore(const std::string &path,
     if (d.getI32() != static_cast<std::int32_t>(nodes.size()) &&
         d.ok())
         d.fail("snapshot node count differs from this machine");
-    const ckpt::RehydrateFn rehydrateFn =
-        [this](const ckpt::EventDesc &ed) { return rehydrate(ed); };
+    ckpt::RehydrateFn rehydrateFn = [this](const ckpt::EventDesc &ed) {
+        return rehydrate(ed);
+    };
     for (auto &node : nodes) {
         if (!d.ok())
             break;
